@@ -104,7 +104,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     elif any(v is None for v in wl_values):
         raise ConfigError("set all three synth.wavelength_* keys or none")
     else:
-        wl_grid = WavelengthGrid(*wl_values)
+        wl_grid = WavelengthGrid(*wl_values).centers()
     image = synthesize(model, wl_grid, t_grid,
                        exposure=cfg.get("synth.exposure"),
                        seed=cfg.get("seed"), t0=cfg.get("synth.t0_ns"))

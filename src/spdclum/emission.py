@@ -169,7 +169,6 @@ class EmissionModel:
     lum_rate_hz: float = 6.036e4
     spdc_polarized: bool = True
     spdc_power_exponent: float = 1.0
-    lum_polarization: str = "mixed"
     grid: WavelengthGrid = WavelengthGrid()
 
     def __post_init__(self):
@@ -184,8 +183,6 @@ class EmissionModel:
             raise ValueError("lum_spectrum must be of kind luminescence_skewed")
         if self.spdc_rate_hz < 0.0 or self.lum_rate_hz < 0.0:
             raise ValueError("rates must be nonnegative")
-        if self.lum_polarization != "mixed":
-            raise ValueError("luminescence polarization is fixed as mixed")
 
 
 def make_model(

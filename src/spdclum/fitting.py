@@ -143,11 +143,10 @@ class DecayDesign:
             return 0.0
         return fwhm * kernels.FWHM_TO_SIGMA
 
-    def _avg(self, fn, t0, tau, sigma):
+    def _avg(self, v):
         # bin average of a kernel antiderivative difference; matches how
         # synthetic traces integrate the model over bins, so recovered
         # parameters carry no binning bias
-        v = np.asarray(fn(self.edges - t0, tau, sigma))
         return (v[1:] - v[:-1]) / self.widths
 
     def model(self, theta):
@@ -155,7 +154,8 @@ class DecayDesign:
         sigma = self._sigma(fwhm)
         out = np.full_like(self.t, baseline)
         for a, tau in zip(amps, taus):
-            out = out + a * self._avg(kernels.exp_conv_gauss_cdf, t0, tau, sigma)
+            out = out + a * self._avg(
+                kernels.exp_conv_gauss_cdf(self.edges - t0, tau, sigma))
         return out
 
     def residuals(self, theta):
@@ -164,24 +164,25 @@ class DecayDesign:
     def jacobian(self, theta):
         baseline, t0, amps, taus, fwhm = self._split(theta)
         sigma = self._sigma(fwhm)
+        # F and its partials in t, tau and sigma, one kernel evaluation per
+        # component; d/dt0 of F(t - t0) is -dF/dt
+        f, d_t, d_tau, d_sigma = zip(*(
+            kernels.exp_conv_gauss_cdf_grad(self.edges - t0, tau, sigma)
+            for tau in taus))
         cols = []
         if self.baseline_mode == "free":
             cols.append(np.ones_like(self.t))
         if self.fit_t0:
             dt_col = np.zeros_like(self.t)
-            for a, tau in zip(amps, taus):
-                dt_col -= a * self._avg(kernels.exp_conv_gauss, t0, tau, sigma)
+            for a, d in zip(amps, d_t):
+                dt_col -= a * self._avg(d)
             cols.append(dt_col)
-        for tau in taus:
-            cols.append(self._avg(kernels.exp_conv_gauss_cdf, t0, tau, sigma))
-        for a, tau in zip(amps, taus):
-            cols.append(a * self._avg(kernels.exp_conv_gauss_cdf_dtau,
-                                      t0, tau, sigma))
+        cols.extend(self._avg(v) for v in f)
+        cols.extend(a * self._avg(d) for a, d in zip(amps, d_tau))
         if self.fit_irf:
             dw_col = np.zeros_like(self.t)
-            for a, tau in zip(amps, taus):
-                dw_col += a * self._avg(kernels.exp_conv_gauss_cdf_dsigma,
-                                        t0, tau, sigma)
+            for a, d in zip(amps, d_sigma):
+                dw_col += a * self._avg(d)
             cols.append(dw_col * kernels.FWHM_TO_SIGMA)
         return np.column_stack(cols) * self.w[:, None]
 
@@ -224,7 +225,8 @@ class DecayDesign:
     def initial_theta(self, taus: Sequence[float]) -> np.ndarray:
         """Seed amplitudes (and baseline) by nonnegative least squares."""
         sigma = self._sigma(self.irf_fwhm_ns)
-        cols = [self._avg(kernels.exp_conv_gauss_cdf, self.t0_fixed, tau, sigma)
+        edges = self.edges - self.t0_fixed
+        cols = [self._avg(kernels.exp_conv_gauss_cdf(edges, tau, sigma))
                 for tau in taus]
         if self.baseline_mode == "free":
             cols.append(np.ones_like(self.t))

@@ -17,9 +17,10 @@ F = p1 / N.  Expressed through the measured count quotient SNR = R_S / R_L:
 
     F = (SNR - t_w R_S) / (1 + SNR - t_w R_S)  ~  SNR / (1 + SNR)
 
-The Monte Carlo estimator draws the physical Bernoulli events per window and
-reproduces the same bookkeeping: a false herald counts as signal vacuum even
-if a (second-order) luminescence photon sits in the signal mode, because
+The Monte Carlo estimator tallies simulated windows under the same
+bookkeeping, drawing all windows at once from the multinomial over the
+heralded outcomes: a false herald counts as signal vacuum even if a
+(second-order) luminescence photon sits in the signal mode, because
 luminescence photons do not arrive in pairs.
 """
 
@@ -196,9 +197,6 @@ class MonteCarloHerald:
     flags: tuple[str, ...] = ()
 
 
-_SHARD_SIZE = 1_000_000
-
-
 def monte_carlo_herald(params: HeraldParams, n_windows: int,
                        seed: int) -> MonteCarloHerald:
     """Simulate detection windows and tally heralded outcomes.
@@ -210,25 +208,20 @@ def monte_carlo_herald(params: HeraldParams, n_windows: int,
     photon number 2, a bare pair gives 1, and a false herald counts as
     vacuum.
 
-    Windows are processed in fixed-size shards with counter-based substreams
-    seeded by (seed, shard index), so the tally is independent of scheduling
-    and reproducible per seed.
+    Windows are independent and identically distributed, so the tally over
+    all of them is one exact multinomial draw over the outcome cells (k2, k1,
+    k0, not heralded) with probabilities P_S P_Ls, P_S (1 - P_Ls),
+    (1 - P_S) P_L and the rest, P_Ls being the signal-mode luminescence
+    probability.  The cost does not grow with n_windows, and the tally is
+    reproducible per seed.
     """
     if n_windows < 1:
         raise ValueError("need at least one window")
     p_s, p_l, p_ls = params.p_s, params.p_l, params.p_l_signal
-    k0 = k1 = k2 = 0
-    n_shards = (n_windows + _SHARD_SIZE - 1) // _SHARD_SIZE
-    for shard in range(n_shards):
-        m = min(_SHARD_SIZE, n_windows - shard * _SHARD_SIZE)
-        rng = np.random.default_rng((int(seed), shard))
-        u = rng.random((3, m))
-        pair = u[0] < p_s
-        lum_signal = u[1] < p_ls
-        lum_idler = u[2] < p_l
-        k2 += int(np.count_nonzero(pair & lum_signal))
-        k1 += int(np.count_nonzero(pair & ~lum_signal))
-        k0 += int(np.count_nonzero(~pair & lum_idler))
+    cells = [p_s * p_ls, p_s * (1.0 - p_ls), (1.0 - p_s) * p_l]
+    rng = np.random.default_rng(int(seed))
+    k2, k1, k0, _ = map(int, rng.multinomial(
+        n_windows, cells + [max(1.0 - sum(cells), 0.0)]))
     heralded = k0 + k1 + k2
     flags: tuple[str, ...] = ()
     if heralded == 0:

@@ -48,12 +48,46 @@ def _causal_exp(t, tau):
     return out
 
 
-def gaussian_pdf(t, sigma: float):
-    """Unit-area Gaussian centered at 0; sigma must be positive."""
-    if sigma <= 0.0:
-        raise ValueError("gaussian_pdf requires sigma > 0")
-    t, restore = _prepare(t)
-    return restore(np.exp(-0.5 * (t / sigma) ** 2) / (sigma * _SQRT2PI))
+def _check_kernel_args(tau, sigma):
+    if tau <= 0.0:
+        raise ValueError("lifetime must be positive")
+    if sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+
+
+def _phi(t, sigma):
+    return 0.5 * (1.0 + erf(t / (sigma * _SQRT2)))
+
+
+def _emg(t, tau, sigma):
+    """The exponential (x) Gaussian at flat float times t, sigma > 0.
+
+    Returns (phi, kern, bump): the Gaussian CDF, the kernel, and the
+    Gaussian bump exp(-t^2 / (2 sigma^2)) = sigma * sqrt(2 pi) * pdf.  The
+    kernel's antiderivative is tau * (phi - kern); every kernel and
+    derivative here with sigma > 0 is composed from these three arrays.
+    """
+    bump = np.exp(-0.5 * (t / sigma) ** 2)
+    z = (sigma / tau - t / sigma) / _SQRT2
+    kern = np.empty_like(z)
+    near = z >= _Z_SPLIT
+    kern[near] = 0.5 * erfcx(z[near]) * bump[near]
+    far = ~near
+    if np.any(far):
+        # erfc(z) -> 2 as z -> -inf; the correction term is below 1e-270 here
+        kern[far] = np.exp(sigma**2 / (2.0 * tau**2) - t[far] / tau)
+    return _phi(t, sigma), kern, bump
+
+
+# partial derivatives of the sigma > 0 kernel, from _emg's kern and bump
+def _kern_dtau(t, tau, sigma, kern, bump):
+    return (kern * (t - sigma**2 / tau) / tau**2
+            + bump / _SQRT2PI * sigma / tau**2)
+
+
+def _kern_dsigma(t, tau, sigma, kern, bump):
+    return (kern * sigma / tau**2
+            - bump / _SQRT2PI * (1.0 / tau + t / sigma**2))
 
 
 def gaussian_cdf(t, sigma: float):
@@ -67,7 +101,7 @@ def gaussian_cdf(t, sigma: float):
     t, restore = _prepare(t)
     if sigma == 0.0:
         return restore((t > 0.0).astype(float))
-    return restore(0.5 * (1.0 + erf(t / (sigma * _SQRT2))))
+    return restore(_phi(t, sigma))
 
 
 def exp_conv_gauss(t, tau: float, sigma: float):
@@ -87,23 +121,16 @@ def exp_conv_gauss(t, tau: float, sigma: float):
     ndarray or float
         Kernel values; the integral over the whole line equals tau.
     """
-    if tau <= 0.0:
-        raise ValueError("lifetime must be positive")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    _check_kernel_args(tau, sigma)
     t, restore = _prepare(t)
     if sigma == 0.0:
         return restore(_causal_exp(t, tau))
-    z = (sigma / tau - t / sigma) / _SQRT2
-    out = np.empty_like(z)
-    near = z >= _Z_SPLIT
-    tn = t[near]
-    out[near] = 0.5 * erfcx(z[near]) * np.exp(-0.5 * (tn / sigma) ** 2)
-    far = ~near
-    if np.any(far):
-        # erfc(z) -> 2 as z -> -inf; the correction term is below 1e-270 here
-        out[far] = np.exp(sigma**2 / (2.0 * tau**2) - t[far] / tau)
-    return restore(out)
+    return restore(_emg(t, tau, sigma)[1])
+
+
+def _bare_cdf(t, tau, kern):
+    # sigma = 0: tau * (1 - exp(-t/tau)) above the step, zero up to it
+    return np.where(t > 0.0, tau * (1.0 - kern), 0.0)
 
 
 def exp_conv_gauss_cdf(t, tau: float, sigma: float):
@@ -112,25 +139,35 @@ def exp_conv_gauss_cdf(t, tau: float, sigma: float):
     Equals tau * (gaussian_cdf(t) - exp_conv_gauss(t)); tends to tau as
     t -> +inf.
     """
-    if tau <= 0.0:
-        raise ValueError("lifetime must be positive")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    _check_kernel_args(tau, sigma)
     t, restore = _prepare(t)
     if sigma == 0.0:
-        out = np.zeros_like(t)
-        m = t > 0.0
-        out[m] = tau * (1.0 - np.exp(-t[m] / tau))
-        return restore(out)
-    cdf = 0.5 * (1.0 + erf(t / (sigma * _SQRT2)))
-    z = (sigma / tau - t / sigma) / _SQRT2
-    kern = np.empty_like(z)
-    near = z >= _Z_SPLIT
-    kern[near] = 0.5 * erfcx(z[near]) * np.exp(-0.5 * (t[near] / sigma) ** 2)
-    far = ~near
-    if np.any(far):
-        kern[far] = np.exp(sigma**2 / (2.0 * tau**2) - t[far] / tau)
-    return restore(tau * (cdf - kern))
+        return restore(_bare_cdf(t, tau, _causal_exp(t, tau)))
+    phi, kern, _ = _emg(t, tau, sigma)
+    return restore(tau * (phi - kern))
+
+
+def exp_conv_gauss_cdf_grad(t, tau: float, sigma: float):
+    """F = exp_conv_gauss_cdf and its partial derivatives, from one kernel
+    evaluation.
+
+    Returns (F, dF/dt, dF/dtau, dF/dsigma); dF/dt is exp_conv_gauss.  F
+    depends on sigma only through sigma^2, so dF/dsigma is zero at sigma = 0.
+    """
+    _check_kernel_args(tau, sigma)
+    t, restore = _prepare(t)
+    if sigma == 0.0:
+        kern = _causal_exp(t, tau)
+        d_tau = np.where(t > 0.0, 1.0 - kern - (t / tau) * kern, 0.0)
+        parts = (_bare_cdf(t, tau, kern), kern, d_tau, np.zeros_like(t))
+    else:
+        phi, kern, bump = _emg(t, tau, sigma)
+        # F = tau * (phi - kern), so dF/dtau = phi - kern - tau * dkern/dtau
+        d_tau = phi - kern - tau * _kern_dtau(t, tau, sigma, kern, bump)
+        d_phi = -bump / _SQRT2PI * t / sigma**2
+        d_sigma = tau * (d_phi - _kern_dsigma(t, tau, sigma, kern, bump))
+        parts = (tau * (phi - kern), kern, d_tau, d_sigma)
+    return tuple(restore(p) for p in parts)
 
 
 def _geom_tail_coeff(tau: float, sigma: float, period: float) -> tuple[float, float]:
@@ -195,7 +232,7 @@ def periodic_decay_mass(a, b, tau: float, sigma: float, period: float):
 
 
 # ---------------------------------------------------------------------------
-# partial derivatives of exp_conv_gauss, used by the fit Jacobian
+# partial derivatives of exp_conv_gauss
 # ---------------------------------------------------------------------------
 
 def exp_conv_gauss_dtau(t, tau: float, sigma: float):
@@ -206,9 +243,8 @@ def exp_conv_gauss_dtau(t, tau: float, sigma: float):
         m = t >= 0.0
         out[m] = np.exp(-t[m] / tau) * t[m] / tau**2
         return restore(out)
-    k = np.asarray(exp_conv_gauss(t, tau, sigma)).ravel()
-    gauss = np.exp(-0.5 * (t / sigma) ** 2) / _SQRT2PI  # = sigma * pdf
-    return restore(k * (t - sigma**2 / tau) / tau**2 + gauss * sigma / tau**2)
+    _, kern, bump = _emg(t, tau, sigma)
+    return restore(_kern_dtau(t, tau, sigma, kern, bump))
 
 
 def exp_conv_gauss_dt(t, tau: float, sigma: float):
@@ -216,9 +252,8 @@ def exp_conv_gauss_dt(t, tau: float, sigma: float):
     if sigma <= 0.0:
         raise ValueError("time derivative requires sigma > 0")
     t, restore = _prepare(t)
-    k = np.asarray(exp_conv_gauss(t, tau, sigma)).ravel()
-    pdf = np.exp(-0.5 * (t / sigma) ** 2) / (sigma * _SQRT2PI)
-    return restore(-k / tau + pdf)
+    _, kern, bump = _emg(t, tau, sigma)
+    return restore(-kern / tau + bump / (sigma * _SQRT2PI))
 
 
 def exp_conv_gauss_dsigma(t, tau: float, sigma: float):
@@ -226,39 +261,8 @@ def exp_conv_gauss_dsigma(t, tau: float, sigma: float):
     if sigma <= 0.0:
         raise ValueError("sigma derivative requires sigma > 0")
     t, restore = _prepare(t)
-    k = np.asarray(exp_conv_gauss(t, tau, sigma)).ravel()
-    gauss = np.exp(-0.5 * (t / sigma) ** 2) / _SQRT2PI
-    return restore(k * sigma / tau**2 - gauss * (1.0 / tau + t / sigma**2))
-
-
-def exp_conv_gauss_cdf_dtau(t, tau: float, sigma: float):
-    """d/d tau of exp_conv_gauss_cdf at fixed t, sigma.
-
-    From F = tau * (Phi - K): dF/dtau = Phi - K - tau * dK/dtau.
-    """
-    if tau <= 0.0:
-        raise ValueError("lifetime must be positive")
-    t, restore = _prepare(t)
-    if sigma == 0.0:
-        out = np.zeros_like(t)
-        m = t > 0.0
-        e = np.exp(-t[m] / tau)
-        out[m] = 1.0 - e - (t[m] / tau) * e
-        return restore(out)
-    cdf = 0.5 * (1.0 + erf(t / (sigma * _SQRT2)))
-    k = np.asarray(exp_conv_gauss(t, tau, sigma)).ravel()
-    dk = np.asarray(exp_conv_gauss_dtau(t, tau, sigma)).ravel()
-    return restore(cdf - k - tau * dk)
-
-
-def exp_conv_gauss_cdf_dsigma(t, tau: float, sigma: float):
-    """d/d sigma of exp_conv_gauss_cdf (sigma > 0 only)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma derivative requires sigma > 0")
-    t, restore = _prepare(t)
-    dphi = -np.exp(-0.5 * (t / sigma) ** 2) / _SQRT2PI * t / sigma**2
-    dk = np.asarray(exp_conv_gauss_dsigma(t, tau, sigma)).ravel()
-    return restore(tau * (dphi - dk))
+    _, kern, bump = _emg(t, tau, sigma)
+    return restore(_kern_dsigma(t, tau, sigma, kern, bump))
 
 
 def edges_from_centers(centers):

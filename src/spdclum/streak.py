@@ -149,15 +149,12 @@ def write_trace_csv(path, time_ns, values, metadata=None,
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trace_csv(path):
-    """Parse a trace CSV -> (time_ns, values, metadata).
+def _data_lines(path, metadata: dict[str, str]):
+    """Yield (1-based line number, stripped line) for every data line.
 
-    Accepts an optional ``time_ns,...`` header row; values may be floats.
-    Malformed rows raise StreakParseError with the line number.
+    Blank lines and comment lines are skipped; ``# key = value`` comments
+    are collected into metadata.
     """
-    metadata: dict[str, str] = {}
-    times: list[float] = []
-    values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -170,21 +167,34 @@ def read_trace_csv(path):
                     if key.strip():
                         metadata[key.strip()] = value.strip()
                 continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise StreakParseError(
-                    f"expected 2 fields, got {len(fields)}", lineno)
-            if not times and not values:
-                try:
-                    float(fields[0])
-                except ValueError:
-                    continue  # header row
+            yield lineno, line
+
+
+def read_trace_csv(path):
+    """Parse a trace CSV -> (time_ns, values, metadata).
+
+    Accepts an optional ``time_ns,...`` header row; values may be floats.
+    Malformed rows raise StreakParseError with the line number.
+    """
+    metadata: dict[str, str] = {}
+    times: list[float] = []
+    values: list[float] = []
+    for lineno, line in _data_lines(path, metadata):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise StreakParseError(
+                f"expected 2 fields, got {len(fields)}", lineno)
+        if not times and not values:
             try:
-                times.append(float(fields[0]))
-                values.append(float(fields[1]))
-            except ValueError as exc:
-                raise StreakParseError(f"bad trace row: {exc}",
-                                       lineno) from None
+                float(fields[0])
+            except ValueError:
+                continue  # header row
+        try:
+            times.append(float(fields[0]))
+            values.append(float(fields[1]))
+        except ValueError as exc:
+            raise StreakParseError(f"bad trace row: {exc}",
+                                   lineno) from None
     if not times:
         raise StreakParseError("no trace data found")
     return np.array(times), np.array(values), metadata
@@ -197,41 +207,30 @@ def read_streak_csv(path) -> StreakImage:
     wavelengths: np.ndarray | None = None
     times: list[float] = []
     rows: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    if key.strip():
-                        metadata[key.strip()] = value.strip()
-                continue
-            fields = line.split(",")
-            if wavelengths is None:
-                try:
-                    wavelengths = np.array([float(f) for f in fields])
-                except ValueError as exc:
-                    raise StreakParseError(f"bad wavelength header: {exc}",
-                                           lineno) from None
-                continue
-            if len(fields) != wavelengths.size + 1:
-                raise StreakParseError(
-                    f"expected {wavelengths.size + 1} fields, got {len(fields)}",
-                    lineno)
+    for lineno, line in _data_lines(path, metadata):
+        fields = line.split(",")
+        if wavelengths is None:
             try:
-                times.append(float(fields[0]))
-            except ValueError:
-                raise StreakParseError(f"bad time value {fields[0]!r}",
+                wavelengths = np.array([float(f) for f in fields])
+            except ValueError as exc:
+                raise StreakParseError(f"bad wavelength header: {exc}",
                                        lineno) from None
-            try:
-                rows.append([int(f) for f in fields[1:]])
-            except ValueError:
-                raise StreakParseError("counts must be integers", lineno) from None
-            if min(rows[-1]) < 0:
-                raise StreakParseError("counts must be nonnegative", lineno)
+            continue
+        if len(fields) != wavelengths.size + 1:
+            raise StreakParseError(
+                f"expected {wavelengths.size + 1} fields, got {len(fields)}",
+                lineno)
+        try:
+            times.append(float(fields[0]))
+        except ValueError:
+            raise StreakParseError(f"bad time value {fields[0]!r}",
+                                   lineno) from None
+        try:
+            rows.append([int(f) for f in fields[1:]])
+        except ValueError:
+            raise StreakParseError("counts must be integers", lineno) from None
+        if min(rows[-1]) < 0:
+            raise StreakParseError("counts must be nonnegative", lineno)
     if wavelengths is None or not rows:
         raise StreakParseError("no image data found")
     exposure = metadata.pop("exposure", None)

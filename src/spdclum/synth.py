@@ -34,9 +34,6 @@ def time_grid(min_ns: float, max_ns: float, step_ns: float) -> np.ndarray:
     return min_ns + step_ns * np.arange(n + 1)
 
 
-_edges_from_centers = kernels.edges_from_centers
-
-
 def _spectral_bin_masses(profile: SpectralProfile, grid, edges: np.ndarray) -> np.ndarray:
     """Integral of the normalized density over each wavelength bin."""
     from .emission import _norm_constant
@@ -67,6 +64,24 @@ def _temporal_masses(model: EmissionModel, t_edges: np.ndarray, t0: float
     return spdc, lum / decay.mean_mass_ns
 
 
+def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
+              exposure: int, t0: float) -> np.ndarray:
+    """Expected counts per (time, wavelength) bin given the bin edges."""
+    if exposure < 1:
+        raise ValueError("exposure must be at least one pulse")
+    period = model.pump.period_ns
+    if (t_edges[-1] - t_edges[0]) > period:
+        raise ValueError(
+            f"observation window {t_edges[-1] - t_edges[0]:g} ns exceeds the "
+            f"pulse period {period:g} ns")
+    t_live = exposure / model.pump.repetition_rate_hz
+    spdc_t, lum_t = _temporal_masses(model, t_edges, t0)
+    spdc_lam = _spectral_bin_masses(model.spdc_spectrum, model.grid, lam_edges)
+    lum_lam = _spectral_bin_masses(model.lum_spectrum, model.grid, lam_edges)
+    return t_live * (model.spdc_rate_hz * np.outer(spdc_t, spdc_lam)
+                     + model.lum_rate_hz * np.outer(lum_t, lum_lam))
+
+
 def expected_counts(model: EmissionModel, wavelength_grid=None, time_grid=None,
                     *, exposure: int, t0: float = 0.0) -> np.ndarray:
     """Expected counts per bin over the full (time, wavelength) grid.
@@ -89,21 +104,8 @@ def expected_counts(model: EmissionModel, wavelength_grid=None, time_grid=None,
     lam = (np.asarray(wavelength_grid, dtype=float)
            if wavelength_grid is not None else model.grid.centers())
     t = np.asarray(time_grid, dtype=float)
-    if exposure < 1:
-        raise ValueError("exposure must be at least one pulse")
-    t_edges = _edges_from_centers(t)
-    lam_edges = _edges_from_centers(lam)
-    period = model.pump.period_ns
-    if (t_edges[-1] - t_edges[0]) > period:
-        raise ValueError(
-            f"observation window {t_edges[-1] - t_edges[0]:g} ns exceeds the "
-            f"pulse period {period:g} ns")
-    t_live = exposure / model.pump.repetition_rate_hz
-    spdc_t, lum_t = _temporal_masses(model, t_edges, t0)
-    spdc_lam = _spectral_bin_masses(model.spdc_spectrum, model.grid, lam_edges)
-    lum_lam = _spectral_bin_masses(model.lum_spectrum, model.grid, lam_edges)
-    return t_live * (model.spdc_rate_hz * np.outer(spdc_t, spdc_lam)
-                     + model.lum_rate_hz * np.outer(lum_t, lum_lam))
+    return _expected(model, kernels.edges_from_centers(t),
+                     kernels.edges_from_centers(lam), exposure, t0)
 
 
 def expected_intensity(model: EmissionModel, wavelength_nm: float, t_ns: float,
@@ -112,18 +114,9 @@ def expected_intensity(model: EmissionModel, wavelength_nm: float, t_ns: float,
     """Expected counts in one bin centered at (wavelength_nm, t_ns)."""
     if time_binwidth_ns <= 0.0 or wavelength_binwidth_nm <= 0.0:
         raise ValueError("bin widths must be positive")
-    lam_edges = np.array([wavelength_nm - wavelength_binwidth_nm / 2.0,
-                          wavelength_nm + wavelength_binwidth_nm / 2.0])
-    t_edges = np.array([t_ns - time_binwidth_ns / 2.0,
-                        t_ns + time_binwidth_ns / 2.0])
-    if exposure < 1:
-        raise ValueError("exposure must be at least one pulse")
-    t_live = exposure / model.pump.repetition_rate_hz
-    spdc_t, lum_t = _temporal_masses(model, t_edges, t0)
-    spdc_lam = _spectral_bin_masses(model.spdc_spectrum, model.grid, lam_edges)
-    lum_lam = _spectral_bin_masses(model.lum_spectrum, model.grid, lam_edges)
-    return float(t_live * (model.spdc_rate_hz * spdc_t[0] * spdc_lam[0]
-                           + model.lum_rate_hz * lum_t[0] * lum_lam[0]))
+    t_edges = t_ns + np.array([-0.5, 0.5]) * time_binwidth_ns
+    lam_edges = wavelength_nm + np.array([-0.5, 0.5]) * wavelength_binwidth_nm
+    return float(_expected(model, t_edges, lam_edges, exposure, t0)[0, 0])
 
 
 def synthesize(model: EmissionModel, wavelength_grid=None, time_grid=None, *,

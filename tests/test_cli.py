@@ -6,6 +6,7 @@ import re
 import pytest
 
 from spdclum.cli import main
+from spdclum.streak import read_streak_csv
 
 
 def run(capsys, *argv):
@@ -34,6 +35,19 @@ def test_synth_requires_out(capsys):
     code, _, err = run(capsys, "synth")
     assert code == 2
     assert "out" in err.lower()
+
+
+def test_synth_custom_wavelength_grid(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, text, _ = run(capsys, "synth", "--out", str(out), "--exposure",
+                        "1000", "--set", "synth.wavelength_min_nm=450",
+                        "--set", "synth.wavelength_max_nm=620",
+                        "--set", "synth.wavelength_step_nm=1")
+    assert code == 0
+    assert "201 time x 171 wavelength bins" in text
+    image = read_streak_csv(out / "streak.csv")
+    assert image.counts.shape == (201, 171)
+    assert image.wavelength_axis_nm[[0, -1]].tolist() == [450.0, 620.0]
 
 
 def test_flags_accepted_before_subcommand(tmp_path, capsys):

@@ -76,21 +76,29 @@ def test_gradient_matches_central_differences():
 
 def test_jacobian_matches_residual_differences():
     t, y = _single_tau_trace()
-    design = DecayDesign(t, y, 1, irf_fwhm_ns=0.15)
-    theta = design.initial_theta((0.5,))
-    jac = design.jacobian(theta)
-    for i in range(theta.size):
-        # the model is an antiderivative difference, so too small a step
-        # drowns the quotient in cancellation noise; 1e-4 keeps truncation
-        # near 1e-8 relative while clearing that floor
-        h = 1e-4 * max(abs(theta[i]), 1.0)
-        tp = theta.copy()
-        tp[i] += h
-        tm = theta.copy()
-        tm[i] -= h
-        col = (design.residuals(tp) - design.residuals(tm)) / (2.0 * h)
-        assert np.allclose(col, jac[:, i], rtol=1e-4,
-                           atol=1e-8 * np.abs(col).max())
+    t2, y2 = _two_tau_trace()
+    tail = t2 >= 150.0
+    cases = (
+        (DecayDesign(t, y, 1, irf_fwhm_ns=0.15), (0.5,)),
+        # bare exponentials (sigma = 0), as in the two-lifetime tail fits
+        (DecayDesign(t2[tail], y2[tail], 2, irf_fwhm_ns=None),
+         (1000.0, 8000.0)),
+    )
+    for design, taus in cases:
+        theta = design.initial_theta(taus)
+        jac = design.jacobian(theta)
+        for i in range(theta.size):
+            # the model is an antiderivative difference, so too small a step
+            # drowns the quotient in cancellation noise; 1e-4 keeps
+            # truncation near 1e-8 relative while clearing that floor
+            h = 1e-4 * max(abs(theta[i]), 1.0)
+            tp = theta.copy()
+            tp[i] += h
+            tm = theta.copy()
+            tm[i] -= h
+            col = (design.residuals(tp) - design.residuals(tm)) / (2.0 * h)
+            assert np.allclose(col, jac[:, i], rtol=1e-4,
+                               atol=1e-8 * np.abs(col).max()), (taus, i)
 
 
 def test_single_lifetime_recovery():

@@ -1,6 +1,7 @@
 """Heralded-photon outcome probabilities, fidelity, and the Monte Carlo check."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -181,19 +182,21 @@ def test_monte_carlo_matches_analytic():
     assert mc.k0 + mc.k1 + mc.k2 == mc.n_heralded
 
 
-def test_monte_carlo_deterministic_and_shard_stable():
+def test_monte_carlo_deterministic():
     params = HeraldParams()
     a = monte_carlo_herald(params, 1_500_000, seed=9)
     b = monte_carlo_herald(params, 1_500_000, seed=9)
     assert (a.k0, a.k1, a.k2) == (b.k0, b.k1, b.k2)
     c = monte_carlo_herald(params, 1_500_000, seed=10)
     assert (a.k0, a.k1, a.k2) != (c.k0, c.k1, c.k2)
-    # crossing the shard boundary must not change earlier windows' draws:
-    # totals grow monotonically with n_windows under a fixed seed
-    small = monte_carlo_herald(params, 999_999, seed=9)
-    large = monte_carlo_herald(params, 1_000_001, seed=9)
-    assert large.k1 >= small.k1
-    assert large.n_heralded >= small.n_heralded
+
+
+def test_monte_carlo_cost_independent_of_window_count():
+    start = time.monotonic()
+    mc = monte_carlo_herald(HeraldParams(), 10**12, seed=1)
+    assert time.monotonic() - start < 5.0
+    assert mc.n_windows == 10**12
+    assert mc.k0 + mc.k1 + mc.k2 == mc.n_heralded
 
 
 def test_monte_carlo_pure_source():
