@@ -47,8 +47,8 @@ def _parse_float(key, text):
         value = float(text)
     except ValueError:
         raise ConfigError(f"{key}: not a number: {text!r}") from None
-    if math.isnan(value):
-        raise ConfigError(f"{key}: nan is not allowed")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {value} is not allowed")
     return value
 
 

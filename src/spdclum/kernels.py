@@ -9,12 +9,12 @@ exactly instead of through discrete convolution grids.  The convolution is
         = 0.5 * exp(sigma^2/(2 tau^2) - t/tau) * erfc((sigma/tau - t/sigma)/sqrt(2))
 
 which is evaluated through erfcx to stay finite for every argument size.
+scipy.special loads on the first call that needs erf or erfcx, not on import.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, erfcx
 
 # Gaussian FWHM = 2*sqrt(2*ln 2)*sigma
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -56,6 +56,7 @@ def _check_kernel_args(tau, sigma):
 
 
 def _phi(t, sigma):
+    from scipy.special import erf
     return 0.5 * (1.0 + erf(t / (sigma * _SQRT2)))
 
 
@@ -67,6 +68,7 @@ def _emg(t, tau, sigma):
     kernel's antiderivative is tau * (phi - kern); every kernel and
     derivative here with sigma > 0 is composed from these three arrays.
     """
+    from scipy.special import erfcx
     bump = np.exp(-0.5 * (t / sigma) ** 2)
     z = (sigma / tau - t / sigma) / _SQRT2
     kern = np.empty_like(z)
@@ -185,6 +187,14 @@ def _geom_tail_coeff(tau: float, sigma: float, period: float) -> tuple[float, fl
     return c - 2.0 * x, 1.0 / (1.0 - q)
 
 
+def _check_tail(tail, tau, sigma, period):
+    # the tail's exp overflows once sigma^2/(2 tau^2) - period/tau passes ~709
+    if not np.all(np.isfinite(tail)):
+        raise ValueError(
+            f"pile-up sum overflows: IRF sigma {sigma:g} ns is too wide for "
+            f"lifetime {tau:g} ns at pulse period {period:g} ns")
+
+
 def _check_within_period(values, period):
     if values.size and (values.min() < -period or values.max() > period):
         raise ValueError("times must lie within one period of the pulse")
@@ -205,7 +215,10 @@ def periodic_decay_value(s, tau: float, sigma: float, period: float):
     out = flat(s) + flat(s + period) + flat(s - period)
     off, coeff = _geom_tail_coeff(tau, sigma, period)
     if coeff != 0.0:
-        out = out + coeff * np.exp(off - s / tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = coeff * np.exp(off - s / tau)
+        _check_tail(tail, tau, sigma, period)
+        out = out + tail
     return restore(out)
 
 
@@ -213,7 +226,8 @@ def periodic_decay_mass(a, b, tau: float, sigma: float, period: float):
     """Integral of periodic_decay_value over [a, b]; bounds within one period.
 
     The per-period integral (b - a = period) is exactly tau: wrapping
-    conserves the single-pulse mass.
+    conserves the single-pulse mass.  Raises ValueError where the pile-up
+    tail overflows, which takes an IRF far wider than tau.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
@@ -227,7 +241,11 @@ def periodic_decay_mass(a, b, tau: float, sigma: float, period: float):
         out = out + flat(b_arr + shift) - flat(a_arr + shift)
     off, coeff = _geom_tail_coeff(tau, sigma, period)
     if coeff != 0.0:
-        out = out + coeff * tau * (np.exp(off - a_arr / tau) - np.exp(off - b_arr / tau))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = coeff * tau * (np.exp(off - a_arr / tau)
+                                  - np.exp(off - b_arr / tau))
+        _check_tail(tail, tau, sigma, period)
+        out = out + tail
     return restore(out)
 
 

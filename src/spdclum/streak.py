@@ -19,6 +19,7 @@ identical images serialize to identical bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -74,6 +75,9 @@ class StreakImage:
             if axis.size < 2 or np.any(np.diff(axis) <= 0):
                 raise ValueError(f"{name} axis must be strictly increasing "
                                  "with at least two bins")
+            # NaN compares false, so the diff test above lets it through
+            if not np.all(np.isfinite(axis)):
+                raise ValueError(f"{name} axis must be finite")
         if int(self.exposure) < 1:
             raise ValueError("exposure must be at least one pulse")
         object.__setattr__(self, "counts", counts.astype(np.int64))
@@ -174,7 +178,8 @@ def read_trace_csv(path):
     """Parse a trace CSV -> (time_ns, values, metadata).
 
     Accepts an optional ``time_ns,...`` header row; values may be floats.
-    Malformed rows raise StreakParseError with the line number.
+    Malformed or non-finite rows raise StreakParseError with the line
+    number.
     """
     metadata: dict[str, str] = {}
     times: list[float] = []
@@ -195,6 +200,8 @@ def read_trace_csv(path):
         except ValueError as exc:
             raise StreakParseError(f"bad trace row: {exc}",
                                    lineno) from None
+        if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+            raise StreakParseError("trace values must be finite", lineno)
     if not times:
         raise StreakParseError("no trace data found")
     return np.array(times), np.array(values), metadata

@@ -240,3 +240,46 @@ def test_unknown_config_key_exits_2(capsys):
     code, _, err = run(capsys, "synth", "--set", "nope=1")
     assert code == 2
     assert "nope" in err
+
+
+@pytest.mark.parametrize("header, bad_time", [
+    ("500.0,nan,502.0", "1.0"),
+    ("nan,501.0,502.0", "1.0"),
+    ("500.0,501.0,502.0", "nan"),
+], ids=["mid-wavelength", "first-wavelength", "time"])
+def test_analyze_nonfinite_axis_exits_3(tmp_path, capsys, header, bad_time):
+    bad = tmp_path / "x.csv"
+    bad.write_text(f"# streak-image/v1\n# exposure = 5\n{header}\n"
+                   f"0.0,1,2,3\n{bad_time},2,2,2\n2.0,1,1,1\n")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 3
+    assert "axis must be finite" in err
+
+
+def test_fit_nonfinite_trace_exits_3(tmp_path, capsys):
+    bad = tmp_path / "trace.csv"
+    bad.write_text("# decay-trace/v1\ntime_ns,counts\n0.0,5.0\n0.1,nan\n"
+                   "0.2,3.0\n")
+    code, _, err = run(capsys, "fit", str(bad))
+    assert code == 3
+    assert "line 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--set", "pump.power_mw=inf"],
+    ["scenario", "--set", "pump.repetition_rate_hz=inf"],
+], ids=["synth", "scenario"])
+def test_infinite_config_float_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert argv[-1].split("=")[0] in err
+    assert not (out / "streak.csv").exists()
+
+
+def test_synth_pileup_overflow_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "synth", "--out", str(tmp_path / "o"),
+                       "--set", "lum_decay.irf_fwhm_ns=100",
+                       "--set", "pump.repetition_rate_hz=1e7")
+    assert code == 2
+    assert "pile-up sum overflows" in err

@@ -210,3 +210,14 @@ def test_build_herald():
     bad = resolve_config(overrides={"herald.window_ns": "-1"}, environ={})
     with pytest.raises(ConfigError):
         bad.build_herald()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("pump.power_mw", "inf"),
+    ("pump.repetition_rate_hz", "-inf"),
+    ("lum_decay.lifetimes_ns", "0.73, inf, 9950"),
+])
+def test_nonfinite_floats_rejected(key, text):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(overrides={key: text}, environ={})
+    assert key in str(err.value)

@@ -6,6 +6,7 @@ frozen here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,3 +170,21 @@ def test_cdf_is_antiderivative():
                - kernels.exp_conv_gauss_cdf(t - h, TAU, SIGMA_015)) / (2 * h)
         ana = kernels.exp_conv_gauss(t, TAU, SIGMA_015)
         assert num == pytest.approx(ana, rel=1e-7, abs=1e-12)
+
+
+def test_periodic_pileup_overflow_raises():
+    # IRF 100 ns FWHM against the 0.73 ns lifetime at 10 MHz: the pile-up
+    # tail's exponential overflows; no overflow warning may escape either
+    sigma = kernels.FWHM_TO_SIGMA * 100.0
+    calls = (lambda: kernels.periodic_decay_mass(-40.0, 40.0, 0.73, sigma, 100.0),
+             lambda: kernels.periodic_decay_value(0.0, 0.73, sigma, 100.0))
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                call()
+        message = str(err.value)
+        assert "pile-up" in message
+        assert f"IRF sigma {sigma:g} ns" in message
+        assert "lifetime 0.73 ns" in message
+        assert "period 100 ns" in message

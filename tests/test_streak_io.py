@@ -121,3 +121,35 @@ def test_trace_parse_errors(tmp_path):
     path.write_text("time_ns,counts\n")
     with pytest.raises(StreakParseError):
         read_trace_csv(path)
+
+
+def test_axes_must_be_finite():
+    ones = np.ones((2, 2), dtype=int)
+    with pytest.raises(ValueError, match="wavelength axis must be finite"):
+        StreakImage(ones, [1.0, np.nan], [0.0, 1.0], 1)
+    with pytest.raises(ValueError, match="time axis must be finite"):
+        StreakImage(ones, [1.0, 2.0], [0.0, np.inf], 1)
+
+
+@pytest.mark.parametrize("text", [
+    "# exposure = 5\n500,nan,502\n0.0,1,2,3\n1.0,2,2,2\n",
+    "# exposure = 5\nnan,501,502\n0.0,1,2,3\n1.0,2,2,2\n",
+    "# exposure = 5\n500,501,502\n0.0,1,2,3\nnan,2,2,2\n2.0,1,1,1\n",
+], ids=["mid-wavelength", "first-wavelength", "time"])
+def test_parse_error_nonfinite_axis(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(StreakParseError) as err:
+        read_streak_csv(path)
+    assert "axis must be finite" in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["1.0,nan", "nan,3.0", "1.0,inf",
+                                 "-inf,3.0"])
+def test_trace_nonfinite_row_rejected(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"time_ns,counts\n0.0,2.0\n{row}\n")
+    with pytest.raises(StreakParseError) as err:
+        read_trace_csv(path)
+    assert "line 3" in str(err.value)
+    assert "finite" in str(err.value)
