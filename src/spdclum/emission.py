@@ -15,6 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 PUMP_RANGE_NM = (240.0, 300.0)
+MAX_AXIS_BINS = 1_000_000  # bins on one wavelength or time axis
+
+
+def uniform_bin_count(min_v: float, max_v: float, step: float,
+                      axis: str) -> int:
+    """Number of uniform bin centers from min to max inclusive.
+
+    Raises ValueError before anything is allocated when the axis would
+    exceed MAX_AXIS_BINS.
+    """
+    n = (max_v - min_v) / step + 1.0
+    if not n < MAX_AXIS_BINS + 0.5:
+        raise ValueError(f"{axis} axis would have {n:.10g} bins, more than "
+                         f"the limit of {MAX_AXIS_BINS}")
+    return int(round((max_v - min_v) / step)) + 1
 
 
 @dataclass(frozen=True)
@@ -106,10 +121,12 @@ class WavelengthGrid:
             raise ValueError("grid step must be positive")
         if self.max_nm <= self.min_nm:
             raise ValueError("grid max must exceed min")
+        uniform_bin_count(self.min_nm, self.max_nm, self.step_nm,
+                          "wavelength")
 
     def centers(self) -> np.ndarray:
-        n = int(round((self.max_nm - self.min_nm) / self.step_nm))
-        return self.min_nm + self.step_nm * np.arange(n + 1)
+        return self.min_nm + self.step_nm * np.arange(uniform_bin_count(
+            self.min_nm, self.max_nm, self.step_nm, "wavelength"))
 
 
 @dataclass(frozen=True)

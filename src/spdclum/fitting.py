@@ -1,10 +1,11 @@
 """Multi-exponential decay fitting on time traces.
 
-Damped least squares (trust-region reflective) with an analytic Jacobian,
-Poisson weights w = 1/max(counts, 1), and a deterministic multi-start ladder
-of log-spaced initial lifetimes.  Amplitudes are seeded per start by
-nonnegative linear least squares.  Uncertainties come from the quadratic
-approximation at the optimum, scaled by the reduced chi-square.
+Damped least squares (trust-region reflective) with an analytic Jacobian
+and Poisson weights w = 1/max(counts, 1).  Every start on a deterministic
+grid of log-spaced lifetimes gets its amplitudes and baseline seeded by
+nonnegative linear least squares; the starts are ranked by that seed's
+objective and only the best one is refined.  Uncertainties come from the
+quadratic approximation at the optimum, scaled by the reduced chi-square.
 
 The model per time bin is the bin average of
 
@@ -29,7 +30,6 @@ from scipy.optimize import least_squares, nnls
 
 from . import kernels
 
-_TIE_REL = 1e-9          # costs closer than this count as a tie
 _BOUND_REL = 1e-3        # lifetime this close to its bound flags the fit
 _DEGENERATE_RATIO = 1.5  # adjacent lifetimes closer than this are degenerate
 
@@ -46,7 +46,12 @@ class FitComponent:
 
 @dataclass(frozen=True, eq=False)
 class DecayFit:
-    """Result of fit_multiexp; components are sorted by lifetime."""
+    """Result of fit_multiexp; components are sorted by lifetime.
+
+    n_starts counts the lifetime starts ranked by their NNLS seed; one of
+    them, the best seeded, is refined.  A trace with no positive bin is
+    flagged "no-counts".
+    """
 
     components: tuple[FitComponent, ...]
     baseline: float
@@ -277,30 +282,15 @@ def fit_multiexp(time_ns, counts, n_components: int,
     design = DecayDesign(time_ns, counts, n_components, irf_fwhm_ns,
                          baseline_mode, t0_ns, fit_t0, fit_irf)
     lo, hi = design.bounds()
-    candidates = []
-    for taus in design.start_lifetimes():
-        theta0 = np.clip(design.initial_theta(taus), lo, hi)
-        try:
-            res = least_squares(design.residuals, theta0, jac=design.jacobian,
-                                bounds=(lo, hi), method="trf", x_scale="jac",
-                                max_nfev=300 * design.n_params)
-        except Exception:
-            continue
-        candidates.append(res)
-    if not candidates:
-        raise RuntimeError("no fit attempt could be evaluated")
-    converged = [r for r in candidates if r.status > 0]
-    pool = converged if converged else candidates
-    best_cost = min(r.cost for r in pool)
-    tol = abs(best_cost) * _TIE_REL + 1e-300
-
-    def tau_key(res):
-        _, _, _, taus, _ = design._split(res.x)
-        return tuple(np.sort(taus))
-
-    winner = min((r for r in pool if r.cost <= best_cost + tol), key=tau_key)
-    return _package_fit(design, winner, len(candidates),
-                        converged_ok=bool(converged))
+    # on well-posed traces every start of the lifetime grid refines to the
+    # same optimum, so rank the NNLS-seeded starts and refine only the best
+    starts = [np.clip(design.initial_theta(taus), lo, hi)
+              for taus in design.start_lifetimes()]
+    theta0 = min(starts, key=design.objective)
+    res = least_squares(design.residuals, theta0, jac=design.jacobian,
+                        bounds=(lo, hi), method="trf", x_scale="jac",
+                        max_nfev=300 * design.n_params)
+    return _package_fit(design, res, len(starts), converged_ok=res.status > 0)
 
 
 def _package_fit(design: DecayDesign, res, n_starts: int,
@@ -310,6 +300,8 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
     flags: list[str] = []
     if not converged_ok:
         flags.append("not-converged")
+    if not np.any(design.y > 0.0):
+        flags.append("no-counts")
 
     jac = design.jacobian(res.x)
     jtj = jac.T @ jac

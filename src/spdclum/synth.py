@@ -20,8 +20,11 @@ import hashlib
 import numpy as np
 
 from . import kernels
-from .emission import EmissionModel, SpectralProfile, model_fingerprint
+from .emission import (EmissionModel, SpectralProfile, model_fingerprint,
+                       uniform_bin_count)
 from .streak import StreakImage
+
+MAX_IMAGE_BINS = 50_000_000  # time x wavelength bins in one image
 
 
 def time_grid(min_ns: float, max_ns: float, step_ns: float) -> np.ndarray:
@@ -30,8 +33,8 @@ def time_grid(min_ns: float, max_ns: float, step_ns: float) -> np.ndarray:
         raise ValueError("time step must be positive")
     if max_ns <= min_ns:
         raise ValueError("time max must exceed min")
-    n = int(round((max_ns - min_ns) / step_ns))
-    return min_ns + step_ns * np.arange(n + 1)
+    return min_ns + step_ns * np.arange(
+        uniform_bin_count(min_ns, max_ns, step_ns, "time"))
 
 
 def _spectral_bin_masses(profile: SpectralProfile, grid, edges: np.ndarray) -> np.ndarray:
@@ -69,6 +72,11 @@ def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
     """Expected counts per (time, wavelength) bin given the bin edges."""
     if exposure < 1:
         raise ValueError("exposure must be at least one pulse")
+    n_t, n_lam = t_edges.size - 1, lam_edges.size - 1
+    if n_t * n_lam > MAX_IMAGE_BINS:
+        raise ValueError(
+            f"image would have {n_t * n_lam} bins ({n_t} time x {n_lam} "
+            f"wavelength), more than the limit of {MAX_IMAGE_BINS}")
     period = model.pump.period_ns
     if (t_edges[-1] - t_edges[0]) > period:
         raise ValueError(

@@ -283,3 +283,32 @@ def test_synth_pileup_overflow_exits_2(tmp_path, capsys):
                        "--set", "pump.repetition_rate_hz=1e7")
     assert code == 2
     assert "pile-up sum overflows" in err
+
+
+@pytest.mark.parametrize("irf", [[], ["--irf", "0.15"]], ids=["bare", "irf"])
+def test_fit_all_zero_trace_exits_5(tmp_path, capsys, irf):
+    path = tmp_path / "zeros.csv"
+    path.write_text("# decay-trace/v1\ntime_ns,counts\n"
+                    + "".join(f"{0.05 * i - 2.0:.2f},0\n" for i in range(201)))
+    code, text, _ = run(capsys, "fit", str(path), "--components", "1", *irf)
+    assert code == 5
+    assert "flag: no-counts" in text
+
+
+@pytest.mark.parametrize("key, value, axis", [
+    ("synth.time_step_ns", "1e-9", "time axis"),
+    ("grid.step_nm", "1e-6", "wavelength axis"),
+    ("synth.wavelength_step_nm", "1e-9", "wavelength axis"),
+    ("synth.time_step_ns", "0.00005", "200001 time x 401 wavelength"),
+], ids=["time-axis", "grid-axis", "synth-wavelength-axis", "image"])
+def test_synth_bin_limit_exits_2(tmp_path, capsys, key, value, axis):
+    out = tmp_path / "o"
+    extra = []
+    if key.startswith("synth.wavelength"):
+        extra = ["--set", "synth.wavelength_min_nm=300",
+                 "--set", "synth.wavelength_max_nm=700"]
+    code, _, err = run(capsys, "synth", "--out", str(out),
+                       "--set", f"{key}={value}", *extra)
+    assert code == 2
+    assert axis in err and "limit of" in err
+    assert not (out / "streak.csv").exists()

@@ -196,6 +196,15 @@ def test_wavelength_grid():
         WavelengthGrid(300.0, 700.0, 0.0)
 
 
+def test_wavelength_grid_bin_limit():
+    limit = emission.MAX_AXIS_BINS
+    assert WavelengthGrid(0.0, limit - 1.0, 1.0).centers().size == limit
+    for step in (0.5, 1e-12, 5e-324):
+        with pytest.raises(ValueError, match=f"wavelength axis .* limit of "
+                                             f"{limit}"):
+            WavelengthGrid(0.0, limit - 1.0, step)
+
+
 def test_density_zero_outside_grid():
     model = make_model()
     assert luminescence_spectral_density(model, 299.0) == 0.0

@@ -207,6 +207,57 @@ def test_fit_reports_uncertainties():
     assert fit.n_starts >= 2
 
 
+def test_ranked_start_matches_multistart():
+    # reference: refine every start of the lifetime grid and keep the
+    # lowest cost, as a multi-start ladder would; the one refined start must
+    # reach that optimum
+    from scipy.optimize import least_squares
+
+    t2, y2 = _two_tau_trace()
+    tail = t2 >= 150.0
+    cases = ((*_single_tau_trace(), 1, 0.15), (t2[tail], y2[tail], 2, None))
+    for t, y, n, irf in cases:
+        fit = fit_multiexp(t, y, n, irf_fwhm_ns=irf)
+        design = DecayDesign(t, y, n, irf_fwhm_ns=irf)
+        lo, hi = design.bounds()
+        ladder = [least_squares(design.residuals,
+                                np.clip(design.initial_theta(taus), lo, hi),
+                                jac=design.jacobian, bounds=(lo, hi),
+                                method="trf", x_scale="jac",
+                                max_nfev=300 * design.n_params)
+                  for taus in design.start_lifetimes()]
+        best = min(ladder, key=lambda r: r.cost)
+        assert fit.n_starts == len(ladder)
+        assert fit.cost <= best.cost * (1.0 + 1e-8), (n, fit.cost, best.cost)
+        ladder_taus = np.sort(design._split(best.x)[3])
+        np.testing.assert_allclose(fit.lifetimes_ns, ladder_taus, rtol=1e-6)
+
+
+def test_one_nonlinear_solve_per_fit(monkeypatch):
+    from spdclum import fitting
+
+    calls = []
+    real = fitting.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", counting)
+    t, y = _two_tau_trace()
+    tail = t >= 150.0
+    fit = fit_multiexp(t[tail], y[tail], 2)
+    assert len(calls) == 1
+    assert fit.n_starts == 21
+
+
+@pytest.mark.parametrize("irf", [None, 0.15])
+def test_all_zero_trace_is_flagged(irf):
+    t = time_grid(-2.0, 8.0, 0.05)
+    fit = fit_multiexp(t, np.zeros_like(t), 1, irf_fwhm_ns=irf)
+    assert "no-counts" in fit.flags
+
+
 def _made_fit(taus, rel_sigmas):
     comps = tuple(FitComponent(100.0, tau, 0.01, rel)
                   for tau, rel in zip(taus, rel_sigmas))

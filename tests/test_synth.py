@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from spdclum.emission import WavelengthGrid, make_model
-from spdclum.synth import expected_counts, expected_intensity, synthesize, time_grid
+from spdclum.emission import MAX_AXIS_BINS, WavelengthGrid, make_model
+from spdclum.synth import (MAX_IMAGE_BINS, expected_counts, expected_intensity,
+                           synthesize, time_grid)
 
 
 def test_time_grid():
@@ -16,6 +17,23 @@ def test_time_grid():
         time_grid(8.0, -2.0, 0.5)
     with pytest.raises(ValueError):
         time_grid(0.0, 1.0, 0.0)
+
+
+def test_time_grid_bin_limit():
+    # checked before the axis is allocated, so absurd steps cost nothing
+    assert time_grid(0.0, MAX_AXIS_BINS - 1.0, 1.0).size == MAX_AXIS_BINS
+    for step in (0.5, 1e-9, 5e-324):
+        with pytest.raises(ValueError, match=f"limit of {MAX_AXIS_BINS}"):
+            time_grid(0.0, MAX_AXIS_BINS - 1.0, step)
+
+
+def test_image_bin_limit():
+    # 200001 time x 401 wavelength bins: each axis is within its limit,
+    # the image is not, and the error comes before the outer product
+    t = time_grid(-2.0, 8.0, 0.00005)
+    with pytest.raises(ValueError, match=f"200001 time x 401 wavelength.*"
+                                         f"limit of {MAX_IMAGE_BINS}"):
+        expected_counts(make_model(), None, t, exposure=1)
 
 
 def test_total_counts_resolution_independent():
