@@ -12,9 +12,6 @@ Library layout:
   filters    polarization/spectral/temporal filter chains and scenarios
   config     flat key-value run configuration
   cli        spdclum command line tool
-
-The fitting names load on first access (PEP 562), so importing the package
-does not import scipy.optimize.
 """
 
 from .analysis import (CountSummary, default_rois, extract_spectrum,
@@ -31,6 +28,8 @@ from .filters import (BandpassFilter, FilterChain, LongpassFilter, Polarizer,
                       pump_wavelength_scan, repetition_rate_alert,
                       run_scenarios, scenario_fidelity, transmit_luminescence,
                       transmit_spdc)
+from .fitting import (DecayFit, FitComponent, IndependenceReport,
+                      decay_independence_report, fit_multiexp)
 from .herald import (FidelityEstimate, HeraldOutcome, HeraldParams,
                      MonteCarloHerald, fidelity_from_snr, monte_carlo_herald,
                      outcome_probabilities, pair_probability)
@@ -40,21 +39,6 @@ from .streak import (RegionOfInterest, StreakImage, StreakParseError,
 from .synth import expected_counts, expected_intensity, synthesize, time_grid
 
 __version__ = "0.1.0"
-
-_FITTING_NAMES = frozenset({"DecayFit", "FitComponent", "IndependenceReport",
-                            "decay_independence_report", "fit_multiexp"})
-
-
-def __getattr__(name):
-    if name in _FITTING_NAMES:
-        from . import fitting
-        return getattr(fitting, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _FITTING_NAMES)
-
 
 __all__ = [
     "BandpassFilter", "ConfigError", "CountSummary", "DecayFit",

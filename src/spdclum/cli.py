@@ -19,18 +19,15 @@ import io
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import analysis, herald
 from .config import ConfigError, RunConfig, resolve_config
 from .emission import WavelengthGrid
 from .filters import repetition_rate_alert, run_scenarios
+from .fitting import DecayFit, fit_multiexp
 from .streak import (RegionOfInterest, StreakParseError, read_streak_csv,
                      read_trace_csv, write_streak_csv, write_trace_csv)
 from .synth import synthesize, time_grid
-
-if TYPE_CHECKING:
-    from .fitting import DecayFit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -210,9 +207,6 @@ def _fit_report_rows(fit: DecayFit):
 
 
 def cmd_fit(cfg: RunConfig, input_path: str) -> int:
-    # scipy.optimize is the slowest import of the package; only fit needs it
-    from .fitting import fit_multiexp
-
     times, counts = _load_fit_input(cfg, input_path)
     fit = fit_multiexp(
         times, counts, cfg.get("fit.n_components"),

@@ -1,10 +1,11 @@
 """Multi-exponential decay fitting on time traces.
 
-Damped least squares (trust-region reflective) with an analytic Jacobian
-and Poisson weights w = 1/max(counts, 1).  Every start on a deterministic
-grid of log-spaced lifetimes gets its amplitudes and baseline seeded by
-nonnegative linear least squares; the starts are ranked by that seed's
-objective and only the best one is refined.  Uncertainties come from the
+Damped least squares (projected Levenberg-Marquardt) with an analytic
+Jacobian and Poisson weights w = 1/max(counts, 1).  Every start on a
+deterministic grid of log-spaced lifetimes gets its amplitudes and baseline
+seeded by nonnegative linear least squares (Lawson-Hanson); the starts are
+ranked by that seed's objective and only the best one is refined.  Both
+solvers are NumPy code in this module.  Uncertainties come from the
 quadratic approximation at the optimum, scaled by the reduced chi-square.
 
 The model per time bin is the bin average of
@@ -23,15 +24,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from . import kernels
 
 _BOUND_REL = 1e-3        # lifetime this close to its bound flags the fit
 _DEGENERATE_RATIO = 1.5  # adjacent lifetimes closer than this are degenerate
+
+# least_squares stopping tolerances on the relative cost decrease, the scaled
+# step and the scaled gradient
+FTOL = XTOL = GTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,150 @@ class DecayFit:
     @property
     def amplitudes(self) -> tuple[float, ...]:
         return tuple(c.amplitude for c in self.components)
+
+
+class LeastSquaresResult(NamedTuple):
+    """Outcome of least_squares.
+
+    status is 1 (gradient), 2 (cost decrease), 3 (step size) or 4 (cost
+    decrease and step size) when a tolerance stopped the solve, and 0 when
+    the evaluation budget ran out or a residual, Jacobian or step was not
+    finite; x is then the last accepted point.
+    """
+
+    x: np.ndarray
+    cost: float
+    status: int
+    nfev: int
+
+
+def nnls(a, b) -> tuple[np.ndarray, float]:
+    """Solve min ||a x - b|| subject to x >= 0; return (x, residual norm).
+
+    Lawson & Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23), each passive-set solve by numpy.linalg.lstsq.  A column
+    that would enter the passive set with a nonpositive value is passed
+    over, and a variable whose step is blocked at zero is set to exactly
+    zero and leaves the passive set, so rounding noise cannot make the
+    active set cycle.  After 3 * n outer iterations the current feasible
+    iterate is returned.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.shape[1]
+
+    def solve_on(passive):
+        z = np.zeros(n)
+        if passive.any():
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    # gradient entries below this are rounding noise
+    tol = (10.0 * np.finfo(float).eps * max(a.shape)
+           * np.abs(a).max(initial=0.0) * np.abs(b).max(initial=0.0))
+    for _ in range(3 * n):
+        w = a.T @ (b - a @ x)
+        w[passive] = -np.inf
+        while True:
+            j = int(np.argmax(w))
+            if not w[j] > tol:
+                return x, float(np.linalg.norm(a @ x - b))
+            # of columns tied up to rounding (duplicates), the first enters
+            j = int(np.argmax(w >= w[j] - tol))
+            passive[j] = True
+            z = solve_on(passive)
+            if z[j] > 0.0:
+                break
+            passive[j] = False
+            w[j] = -np.inf
+        # move toward the passive-set solution until a variable reaches
+        # zero; every pass drops at least one variable
+        while not np.all(z[passive] > 0.0):
+            blocked = np.flatnonzero(passive & ~(z > 0.0))
+            ratios = x[blocked] / (x[blocked] - z[blocked])
+            k = np.argmin(ratios)
+            x = x + ratios[k] * (z - x)
+            x[blocked[k]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            z = solve_on(passive)
+        x = z
+    return x, float(np.linalg.norm(a @ x - b))
+
+
+def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
+    """Minimize 0.5 * ||fun(x)||^2 subject to bounds[0] <= x <= bounds[1].
+
+    Projected Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11:431,
+    1963).  Each step minimizes ||J s + r||^2 + lambda ||D s||^2 with
+    Marquardt's column scaling D^2 = sum of squared Jacobian entries per
+    column (kept at its running maximum), freezes a variable at a bound
+    whose gradient points outward, and clips the trial point to the bounds.
+    lambda follows the ratio of actual to predicted decrease.  The solve
+    stops on the relative cost decrease (FTOL), the scaled step (XTOL), the
+    scaled gradient (GTOL), or after max_nfev residual evaluations.
+    """
+    lo, hi = (np.asarray(v, dtype=float) for v in bounds)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = fun(x)
+    nfev = 1
+    cost = 0.5 * float(r @ r)
+    if not np.isfinite(cost):
+        return LeastSquaresResult(x, cost, 0, nfev)
+    damping, growth = 1e-3, 2.0
+    col_norm = np.zeros(x.size)
+    j_mat = None
+    while nfev < max_nfev:
+        if j_mat is None:
+            j_mat = jac(x)
+            if not np.all(np.isfinite(j_mat)):
+                break
+            col_norm = np.maximum(col_norm, np.linalg.norm(j_mat, axis=0))
+            d = np.where(col_norm > 0.0, col_norm, 1.0)
+            g = j_mat.T @ r
+            free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+            r_norm = np.sqrt(2.0 * cost)
+            if np.all(np.abs(g[free]) <= GTOL * d[free] * r_norm):
+                return LeastSquaresResult(x, cost, 1, nfev)
+        jf = j_mat[:, free]
+        aug = np.vstack([jf, np.diag(np.sqrt(damping) * d[free])])
+        rhs = np.concatenate([-r, np.zeros(jf.shape[1])])
+        try:
+            step_free = np.linalg.lstsq(aug, rhs, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        step = np.zeros(x.size)
+        step[free] = step_free
+        trial = np.clip(x + step, lo, hi)
+        step = trial - x
+        if not np.all(np.isfinite(step)):
+            break
+        r_trial = fun(trial)
+        nfev += 1
+        cost_trial = 0.5 * float(r_trial @ r_trial)
+        if not np.isfinite(cost_trial):
+            break
+        j_step = j_mat @ step
+        predicted = -(g @ step + 0.5 * (j_step @ j_step))
+        actual = cost - cost_trial
+        ratio = actual / predicted if predicted > 0.0 else -np.inf
+        ftol_met = actual < FTOL * cost and ratio > 0.25
+        xtol_met = (np.linalg.norm(d * step)
+                    <= XTOL * (XTOL + np.linalg.norm(d * x)))
+        if ratio > 1e-4:
+            x, r, cost = trial, r_trial, cost_trial
+            j_mat = None
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            growth = 2.0
+        else:
+            damping *= growth
+            growth *= 2.0
+        if ftol_met or xtol_met:
+            status = (4 if xtol_met else 2) if ftol_met else 3
+            return LeastSquaresResult(x, cost, status, nfev)
+    return LeastSquaresResult(x, cost, 0, nfev)
 
 
 class DecayDesign:
@@ -282,15 +430,20 @@ def fit_multiexp(time_ns, counts, n_components: int,
     design = DecayDesign(time_ns, counts, n_components, irf_fwhm_ns,
                          baseline_mode, t0_ns, fit_t0, fit_irf)
     lo, hi = design.bounds()
-    # on well-posed traces every start of the lifetime grid refines to the
-    # same optimum, so rank the NNLS-seeded starts and refine only the best
-    starts = [np.clip(design.initial_theta(taus), lo, hi)
-              for taus in design.start_lifetimes()]
-    theta0 = min(starts, key=design.objective)
-    res = least_squares(design.residuals, theta0, jac=design.jacobian,
-                        bounds=(lo, hi), method="trf", x_scale="jac",
-                        max_nfev=300 * design.n_params)
-    return _package_fit(design, res, len(starts), converged_ok=res.status > 0)
+    # counts near the float limit overflow the objective; that ends the
+    # solve unconverged (status 0) and leaves the uncertainties non-finite,
+    # so NumPy's overflow warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # on well-posed traces every start of the lifetime grid refines to
+        # the same optimum, so rank the NNLS-seeded starts and refine only
+        # the best
+        starts = [np.clip(design.initial_theta(taus), lo, hi)
+                  for taus in design.start_lifetimes()]
+        theta0 = min(starts, key=design.objective)
+        res = least_squares(design.residuals, theta0, design.jacobian,
+                            (lo, hi), max_nfev=300 * design.n_params)
+        return _package_fit(design, res, len(starts),
+                            converged_ok=res.status > 0)
 
 
 def _package_fit(design: DecayDesign, res, n_starts: int,
@@ -307,11 +460,14 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
     jtj = jac.T @ jac
     dof = max(design.t.size - design.n_params, 1)
     chi2_red = 2.0 * res.cost / dof
-    sing = np.linalg.svd(jtj, compute_uv=False)
-    if sing[-1] <= sing[0] * 1e-14:
-        flags.append("ill-conditioned")
-    cov = np.linalg.pinv(jtj) * chi2_red
-    sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    if np.isfinite(chi2_red) and np.all(np.isfinite(jtj)):
+        sing = np.linalg.svd(jtj, compute_uv=False)
+        if sing[-1] <= sing[0] * 1e-14:
+            flags.append("ill-conditioned")
+        cov = np.linalg.pinv(jtj) * chi2_red
+        sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    else:
+        sigmas = np.full(design.n_params, np.nan)
 
     i = 0
     baseline_rel = 0.0

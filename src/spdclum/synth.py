@@ -84,10 +84,24 @@ def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
             f"pulse period {period:g} ns")
     t_live = exposure / model.pump.repetition_rate_hz
     spdc_t, lum_t = _temporal_masses(model, t_edges, t0)
-    spdc_lam = _spectral_bin_masses(model.spdc_spectrum, model.grid, lam_edges)
-    lum_lam = _spectral_bin_masses(model.lum_spectrum, model.grid, lam_edges)
-    return t_live * (model.spdc_rate_hz * np.outer(spdc_t, spdc_lam)
-                     + model.lum_rate_hz * np.outer(lum_t, lum_lam))
+    # t_live * (R_S * outer(spdc) + R_L * outer(lum)) in that operation
+    # order, in place; a term whose rate is zero adds nothing
+    out = None
+    for rate, mass_t, profile in (
+            (model.spdc_rate_hz, spdc_t, model.spdc_spectrum),
+            (model.lum_rate_hz, lum_t, model.lum_spectrum)):
+        if rate != 0.0:
+            term = np.outer(mass_t, _spectral_bin_masses(profile, model.grid,
+                                                         lam_edges))
+            term *= rate
+            if out is None:
+                out = term
+            else:
+                out += term
+    if out is None:
+        return np.zeros((n_t, n_lam))
+    out *= t_live
+    return out
 
 
 def expected_counts(model: EmissionModel, wavelength_grid=None, time_grid=None,

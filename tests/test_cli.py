@@ -312,3 +312,43 @@ def test_synth_bin_limit_exits_2(tmp_path, capsys, key, value, axis):
     assert code == 2
     assert axis in err and "limit of" in err
     assert not (out / "streak.csv").exists()
+
+
+def test_fit_baseline_on_its_zero_bound_csv(tmp_path, capsys):
+    out = tmp_path / "img"
+    run(capsys, "synth", "--out", str(out), "--seed", "3",
+        "--exposure", "20000", "--spdc-rate", "0",
+        "--set", "lum_decay.amplitudes=1.0",
+        "--set", "lum_decay.lifetimes_ns=0.73")
+    code, text, _ = run(capsys, "fit", str(out / "streak.csv"),
+                        "--components", "1", "--irf", "0.15",
+                        "--band", "514,554", "--format", "csv")
+    assert code == 0
+    rows = {line.split(",")[0]: line.split(",")[1:]
+            for line in text.splitlines()}
+    assert rows["baseline"][:2] == ["0.0", "inf"]
+
+
+@pytest.mark.parametrize("shape", ["spike", "exp"])
+def test_fit_overflowing_trace_exits_4(tmp_path, capfd, shape):
+    import warnings
+
+    import numpy as np
+
+    from spdclum.streak import write_trace_csv
+
+    t = 0.05 * np.arange(201) - 2.0
+    if shape == "spike":
+        y = np.zeros_like(t)
+        y[60] = 1e300
+    else:
+        y = 1e308 * np.exp(-np.abs(t))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), t, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", str(path), "--components", "1"])
+    out, err = capfd.readouterr()
+    assert code == 4
+    assert "flag: not-converged" in out
+    assert err == "fit did not converge\n"

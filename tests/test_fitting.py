@@ -1,5 +1,8 @@
 """Multi-exponential decay fitting and its analytic derivatives."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from spdclum.fitting import (
     FitComponent,
     decay_independence_report,
     fit_multiexp,
+    least_squares,
+    nnls,
 )
 from spdclum.synth import synthesize, time_grid
 
@@ -256,6 +261,165 @@ def test_all_zero_trace_is_flagged(irf):
     t = time_grid(-2.0, 8.0, 0.05)
     fit = fit_multiexp(t, np.zeros_like(t), 1, irf_fwhm_ns=irf)
     assert "no-counts" in fit.flags
+
+
+def _assert_nnls_matches_scipy(a, b):
+    from scipy.optimize import nnls as scipy_nnls
+
+    x, rnorm = nnls(a, b)
+    ref, ref_norm = scipy_nnls(a, b)
+    assert np.all(x >= 0.0)
+    scale = np.abs(ref).max(initial=0.0)
+    np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-10 * scale)
+    assert rnorm == pytest.approx(ref_norm, rel=1e-10, abs=1e-300)
+    return x, rnorm
+
+
+def test_nnls_matches_scipy_on_random_problems():
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        m = int(rng.integers(4, 60))
+        n = int(rng.integers(1, min(m, 8) + 1))
+        a = rng.standard_normal((m, n))
+        if rng.random() < 0.5:
+            a = np.abs(a)
+        _assert_nnls_matches_scipy(a, rng.standard_normal(m))
+
+
+@pytest.mark.parametrize("case", ["zero-column", "duplicate-columns",
+                                  "negative-target"])
+def test_nnls_degenerate_problems(case):
+    rng = np.random.default_rng(7)
+    a = rng.random((30, 3))
+    b = a @ np.array([1.0, 0.5, 2.0]) + 0.01 * rng.standard_normal(30)
+    if case == "zero-column":
+        a = np.column_stack([a[:, :1], np.zeros(30), a[:, 1:]])
+    elif case == "duplicate-columns":
+        a = np.column_stack([a, a[:, 1], a[:, 1]])
+    else:
+        b = -np.abs(b)
+    x, rnorm = _assert_nnls_matches_scipy(a, b)
+    if case == "negative-target":
+        assert np.all(x == 0.0)
+        assert rnorm == pytest.approx(np.linalg.norm(b), rel=1e-14)
+
+
+def test_nnls_matches_scipy_on_seed_problems(monkeypatch):
+    # the amplitude-and-baseline seeds of the criterion-6 fits
+    from spdclum import fitting
+
+    problems = []
+
+    def recording(a, b):
+        problems.append((a, b))
+        return nnls(a, b)
+
+    monkeypatch.setattr(fitting, "nnls", recording)
+    model_a = make_model(amplitudes=(1.0,), lifetimes_ns=(0.73,),
+                         spdc_rate_hz=0.0)
+    model_b = make_model(amplitudes=(0.7, 0.3), lifetimes_ns=(1850.0, 9950.0),
+                         spdc_rate_hz=0.0, repetition_rate_hz=10.0)
+    for seed in (0, 1):
+        img = synthesize(model_a, None, time_grid(-2.0, 8.0, 0.05),
+                         exposure=150_000, seed=seed)
+        fit_multiexp(*extract_time_trace(img, (474.0, 594.0)), 1,
+                     irf_fwhm_ns=0.15)
+        img = synthesize(model_b, None, time_grid(0.0, 50_000.0, 50.0),
+                         exposure=400, seed=seed)
+        t, y = extract_time_trace(img, (350.0, 510.0))
+        fit_multiexp(t[t >= 150.0], y[t >= 150.0], 2)
+    assert len(problems) == 2 * (10 + 21)
+    for a, b in problems:
+        _assert_nnls_matches_scipy(a, b)
+
+
+def test_least_squares_bounds_and_budget():
+    # the unconstrained optimum has a negative offset: the projected solve
+    # leaves the offset exactly on its zero bound and matches SciPy's
+    # bounded solver on the rest
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    t = np.linspace(0.0, 5.0, 40)
+    y = 3.0 * np.exp(-t / 1.3) - 0.2 + 0.01 * np.sin(7.0 * t)
+
+    def fun(p):
+        return p[0] + p[1] * np.exp(-t / p[2]) - y
+
+    def jac(p):
+        e = np.exp(-t / p[2])
+        return np.column_stack([np.ones_like(t), e, p[1] * e * t / p[2]**2])
+
+    bounds = (np.array([0.0, 0.0, 0.01]), np.array([np.inf, np.inf, 100.0]))
+    x0 = np.array([0.5, 1.0, 1.0])
+    res = least_squares(fun, x0, jac, bounds, max_nfev=900)
+    ref = scipy_least_squares(fun, x0, jac=jac, bounds=bounds, method="trf",
+                              x_scale="jac", max_nfev=900)
+    assert res.status > 0
+    assert res.x[0] == 0.0
+    assert res.cost <= ref.cost * (1.0 + 1e-8)
+    np.testing.assert_allclose(res.x[1:], ref.x[1:], rtol=1e-6)
+    assert res.cost == 0.5 * float(fun(res.x) @ fun(res.x))
+    stopped = least_squares(fun, x0, jac, bounds, max_nfev=2)
+    assert stopped.status == 0
+    assert stopped.nfev == 2
+    assert stopped.cost < 0.5 * float(fun(x0) @ fun(x0))
+
+
+_T = time_grid(-2.0, 8.0, 0.05)
+
+
+def _spike(height):
+    y = np.zeros_like(_T)
+    y[60] = height
+    return y
+
+
+_PATHOLOGICAL = {
+    "zeros": np.zeros_like(_T),
+    "constant": np.full_like(_T, 10.0),
+    "spike": _spike(1000.0),
+    "negative": -1000.0 * np.exp(-_T),
+    "huge": 1e300 * np.exp(-_T),
+    "tiny": 1e-300 * np.exp(-_T),
+    "overflow-spike": _spike(1e300),
+    "overflow-exp": 1e308 * np.exp(-np.abs(_T)),
+}
+
+
+@pytest.mark.parametrize("irf", [None, 0.15], ids=["bare", "irf"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", list(_PATHOLOGICAL))
+def test_pathological_trace_fits_without_raising(name, n, irf):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_multiexp(_T, _PATHOLOGICAL[name], n, irf_fwhm_ns=irf)
+    assert len(fit.components) == n
+    assert fit.converged == ("not-converged" not in fit.flags)
+
+
+@pytest.mark.parametrize("name", ["overflow-spike", "overflow-exp"])
+def test_overflowing_trace_is_not_converged(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_multiexp(_T, _PATHOLOGICAL[name], 1)
+    assert not fit.converged
+    assert "not-converged" in fit.flags
+    comp = fit.components[0]
+    assert math.isnan(comp.lifetime_rel_sigma)
+    assert math.isnan(comp.amplitude_rel_sigma)
+
+
+def test_baseline_on_its_zero_bound():
+    # the projected solve leaves the baseline exactly at zero, so its
+    # relative sigma is infinite rather than a quotient of rounding noise
+    model = make_model(amplitudes=(1.0,), lifetimes_ns=(0.73,),
+                       spdc_rate_hz=0.0)
+    img = synthesize(model, None, time_grid(-2.0, 8.0, 0.05), exposure=20000,
+                     seed=3)
+    t, y = extract_time_trace(img, (514.0, 554.0))
+    fit = fit_multiexp(t, y, 1, irf_fwhm_ns=0.15)
+    assert fit.baseline == 0.0
+    assert math.isinf(fit.baseline_rel_sigma)
 
 
 def _made_fit(taus, rel_sigmas):

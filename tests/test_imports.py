@@ -1,4 +1,4 @@
-"""SciPy loads on use, and the package API resolves its lazy names.
+"""SciPy loads on use, and the package API resolves its names.
 
 The subcommand checks run in fresh interpreters, since this test process
 has long since imported SciPy through other tests.
@@ -76,6 +76,37 @@ def test_synth_skips_scipy_optimize(tmp_path):
     # the kernels need erf/erfcx, so the probe does see SciPy load here
     assert "scipy.special" in loaded
     assert "scipy.optimize" not in loaded
+
+
+def test_fitting_import_loads_no_scipy(tmp_path):
+    loaded = _fresh("import json, sys, spdclum.fitting\n"
+                    "print(json.dumps([m for m in sys.modules "
+                    "if m.split('.')[0] == 'scipy']))", cwd=tmp_path)
+    assert loaded == []
+
+
+def test_fit_image_with_irf_skips_scipy_optimize(image_path, tmp_path):
+    code, loaded = _fresh(_PROBE, "fit", image_path, "--irf", "0.15",
+                          "--band", "560,700", cwd=tmp_path)
+    assert code in (0, 5)
+    # the IRF kernels need erf/erfcx; the solver needs no SciPy
+    assert "scipy.special" in loaded
+    assert "scipy.optimize" not in loaded
+
+
+def test_fit_trace_without_irf_runs_without_scipy(tmp_path):
+    import numpy as np
+
+    from spdclum.streak import write_trace_csv
+
+    t = np.arange(0.0, 5000.0, 10.0)
+    y = np.random.default_rng(3).poisson(4000.0 * np.exp(-t / 500.0) + 10.0)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), t, y)
+    code, loaded = _fresh(_PROBE, "fit", str(path), "--components", "1",
+                          cwd=tmp_path)
+    assert code == 0
+    assert loaded == []
 
 
 def test_public_names_resolve():
