@@ -182,8 +182,12 @@ def cmd_analyze(cfg: RunConfig, image_path: str) -> int:
 
 
 def _load_fit_input(cfg: RunConfig, path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise StreakParseError(
+            f"not a UTF-8 text file ({exc.reason})") from None
     if first == "# streak-image/v1":
         image = read_streak_csv(path)
         band = cfg.get("fit.band_nm")

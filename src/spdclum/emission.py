@@ -16,6 +16,9 @@ import numpy as np
 
 PUMP_RANGE_NM = (240.0, 300.0)
 MAX_AXIS_BINS = 1_000_000  # bins on one wavelength or time axis
+# sample intervals of one spectral_bin_masses call: a full axis sub-sampled
+# at its own grid step (16 per bin), with one spare per bin for rounding
+MAX_SPECTRAL_SAMPLES = 17 * MAX_AXIS_BINS
 
 
 def uniform_bin_count(min_v: float, max_v: float, step: float,
@@ -342,13 +345,34 @@ def model_fingerprint(model: EmissionModel) -> str:
                      for k, v in items)
 
 
-def band_mass(profile: SpectralProfile, grid: WavelengthGrid,
-              band: tuple[float, float], refine: int = 16) -> float:
-    """Integral of the normalized density over `band`, clipped to the grid.
+def spectral_bin_masses(profile: SpectralProfile, grid: WavelengthGrid,
+                        edges: np.ndarray) -> np.ndarray:
+    """Integral of the normalized density over each wavelength bin.
 
-    Trapezoid quadrature on a sub-grid `refine` times finer than the
-    wavelength grid.
+    Trapezoid quadrature, sub-sampling each bin at least 8 times and no
+    coarser than grid.step_nm / 16; the density vanishes outside the grid
+    span.  Raises ValueError before allocating when the samples would
+    exceed MAX_SPECTRAL_SAMPLES.
     """
+    widths = np.diff(edges)
+    n_sub = max(8, int(np.ceil(widths.max() / (grid.step_nm / 16.0))))
+    if n_sub * widths.size > MAX_SPECTRAL_SAMPLES:
+        raise ValueError(
+            f"spectral quadrature would take {n_sub * widths.size} samples "
+            f"({widths.size} bins x {n_sub}), more than the limit of "
+            f"{MAX_SPECTRAL_SAMPLES}; use bins closer to the grid step")
+    z = _norm_constant(profile, grid)
+    frac = np.linspace(0.0, 1.0, n_sub + 1)
+    pts = edges[:-1, None] + widths[:, None] * frac[None, :]
+    vals = profile.shape(pts) / z
+    vals[(pts < grid.min_nm) | (pts > grid.max_nm)] = 0.0
+    return np.trapezoid(vals, pts, axis=1)
+
+
+def band_mass(profile: SpectralProfile, grid: WavelengthGrid,
+              band: tuple[float, float]) -> float:
+    """Integral of the normalized density over `band`, clipped to the grid:
+    spectral_bin_masses of that one bin."""
     lo, hi = float(band[0]), float(band[1])
     if hi < lo:
         raise ValueError(f"inverted wavelength band ({lo}, {hi})")
@@ -356,10 +380,7 @@ def band_mass(profile: SpectralProfile, grid: WavelengthGrid,
     hi = min(hi, grid.max_nm)
     if hi <= lo:
         return 0.0
-    n = max(int(np.ceil((hi - lo) / (grid.step_nm / refine))), 8)
-    lam = np.linspace(lo, hi, n + 1)
-    z = _norm_constant(profile, grid)
-    return float(np.trapezoid(profile.shape(lam) / z, lam))
+    return float(spectral_bin_masses(profile, grid, np.array([lo, hi]))[0])
 
 
 def spectral_overlap_fraction(model: EmissionModel, band: tuple[float, float]) -> float:

@@ -194,13 +194,6 @@ class FilterChain:
     def __len__(self) -> int:
         return len(self.filters)
 
-    @property
-    def gate(self) -> TemporalGate | None:
-        for f in self.filters:
-            if isinstance(f, TemporalGate):
-                return f
-        return None
-
 
 def _clip01(x: float) -> float:
     return min(max(x, 0.0), 1.0)

@@ -54,7 +54,8 @@ class DecayFit:
 
     n_starts counts the lifetime starts ranked by their NNLS seed; one of
     them, the best seeded, is refined.  A trace with no positive bin is
-    flagged "no-counts".
+    flagged "no-counts".  When the fit is flagged "ill-conditioned", a
+    parameter the data do not determine reports an infinite sigma.
     """
 
     components: tuple[FitComponent, ...]
@@ -462,10 +463,15 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
     chi2_red = 2.0 * res.cost / dof
     if np.isfinite(chi2_red) and np.all(np.isfinite(jtj)):
         sing = np.linalg.svd(jtj, compute_uv=False)
-        if sing[-1] <= sing[0] * 1e-14:
-            flags.append("ill-conditioned")
         cov = np.linalg.pinv(jtj) * chi2_red
         sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        null = sing <= sing[0] * 1e-14
+        if np.any(null):
+            flags.append("ill-conditioned")
+            # pinv gives zero variance along the null space: a parameter
+            # with any weight there is not determined by the data
+            vt = np.linalg.svd(jtj)[2]
+            sigmas[np.any(vt[null] != 0.0, axis=0)] = np.inf
     else:
         sigmas = np.full(design.n_params, np.nan)
 

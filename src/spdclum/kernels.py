@@ -9,6 +9,10 @@ exactly instead of through discrete convolution grids.  The convolution is
         = 0.5 * exp(sigma^2/(2 tau^2) - t/tau) * erfc((sigma/tau - t/sigma)/sqrt(2))
 
 which is evaluated through erfcx to stay finite for every argument size.
+The module exposes only what the model integrates: the Gaussian's and the
+convolution's masses (the latter with its gradient, whose dF/dt is the
+kernel itself) and the steady-state mass under pulsed excitation.
+Wavelength masses are not here: emission.spectral_bin_masses computes them.
 scipy.special loads on the first call that needs erf or erfcx, not on import.
 """
 
@@ -55,11 +59,6 @@ def _check_kernel_args(tau, sigma):
         raise ValueError("sigma must be nonnegative")
 
 
-def _phi(t, sigma):
-    from scipy.special import erf
-    return 0.5 * (1.0 + erf(t / (sigma * _SQRT2)))
-
-
 def _emg(t, tau, sigma):
     """The exponential (x) Gaussian at flat float times t, sigma > 0.
 
@@ -78,19 +77,7 @@ def _emg(t, tau, sigma):
     if np.any(far):
         # erfc(z) -> 2 as z -> -inf; the correction term is below 1e-270 here
         kern[far] = np.exp(sigma**2 / (2.0 * tau**2) - t[far] / tau)
-    # _phi's Gaussian CDF, inlined so that each call runs one import
     return 0.5 * (1.0 + erf(t / (sigma * _SQRT2))), kern, bump
-
-
-# partial derivatives of the sigma > 0 kernel, from _emg's kern and bump
-def _kern_dtau(t, tau, sigma, kern, bump):
-    return (kern * (t - sigma**2 / tau) / tau**2
-            + bump / _SQRT2PI * sigma / tau**2)
-
-
-def _kern_dsigma(t, tau, sigma, kern, bump):
-    return (kern * sigma / tau**2
-            - bump / _SQRT2PI * (1.0 / tau + t / sigma**2))
 
 
 def gaussian_cdf(t, sigma: float):
@@ -104,31 +91,8 @@ def gaussian_cdf(t, sigma: float):
     t, restore = _prepare(t)
     if sigma == 0.0:
         return restore((t > 0.0).astype(float))
-    return restore(_phi(t, sigma))
-
-
-def exp_conv_gauss(t, tau: float, sigma: float):
-    """Causal exponential (peak 1 before blur) convolved with the Gaussian.
-
-    Parameters
-    ----------
-    t : array_like
-        Times relative to the pulse arrival, ns.
-    tau : float
-        Decay lifetime, ns; must be positive.
-    sigma : float
-        Gaussian width, ns; 0 returns the bare exponential.
-
-    Returns
-    -------
-    ndarray or float
-        Kernel values; the integral over the whole line equals tau.
-    """
-    _check_kernel_args(tau, sigma)
-    t, restore = _prepare(t)
-    if sigma == 0.0:
-        return restore(_causal_exp(t, tau))
-    return restore(_emg(t, tau, sigma)[1])
+    from scipy.special import erf
+    return restore(0.5 * (1.0 + erf(t / (sigma * _SQRT2))))
 
 
 def _bare_cdf(t, tau, kern):
@@ -137,10 +101,11 @@ def _bare_cdf(t, tau, kern):
 
 
 def exp_conv_gauss_cdf(t, tau: float, sigma: float):
-    """Integral of exp_conv_gauss from -inf to t.
+    """Integral from -inf to t of the causal exponential (peak 1 before
+    blur) convolved with the Gaussian.
 
-    Equals tau * (gaussian_cdf(t) - exp_conv_gauss(t)); tends to tau as
-    t -> +inf.
+    Equals tau * (gaussian_cdf(t) - kernel(t)); tends to tau as t -> +inf.
+    sigma = 0 integrates the bare exponential.
     """
     _check_kernel_args(tau, sigma)
     t, restore = _prepare(t)
@@ -154,7 +119,7 @@ def exp_conv_gauss_cdf_grad(t, tau: float, sigma: float):
     """F = exp_conv_gauss_cdf and its partial derivatives, from one kernel
     evaluation.
 
-    Returns (F, dF/dt, dF/dtau, dF/dsigma); dF/dt is exp_conv_gauss.  F
+    Returns (F, dF/dt, dF/dtau, dF/dsigma); dF/dt is the kernel itself.  F
     depends on sigma only through sigma^2, so dF/dsigma is zero at sigma = 0.
     """
     _check_kernel_args(tau, sigma)
@@ -166,34 +131,15 @@ def exp_conv_gauss_cdf_grad(t, tau: float, sigma: float):
     else:
         phi, kern, bump = _emg(t, tau, sigma)
         # F = tau * (phi - kern), so dF/dtau = phi - kern - tau * dkern/dtau
-        d_tau = phi - kern - tau * _kern_dtau(t, tau, sigma, kern, bump)
+        d_kern_tau = (kern * (t - sigma**2 / tau) / tau**2
+                      + bump / _SQRT2PI * sigma / tau**2)
+        d_kern_sigma = (kern * sigma / tau**2
+                        - bump / _SQRT2PI * (1.0 / tau + t / sigma**2))
+        d_tau = phi - kern - tau * d_kern_tau
         d_phi = -bump / _SQRT2PI * t / sigma**2
-        d_sigma = tau * (d_phi - _kern_dsigma(t, tau, sigma, kern, bump))
+        d_sigma = tau * (d_phi - d_kern_sigma)
         parts = (tau * (phi - kern), kern, d_tau, d_sigma)
     return tuple(restore(p) for p in parts)
-
-
-def _geom_tail_coeff(tau: float, sigma: float, period: float) -> tuple[float, float]:
-    """Pieces of the pile-up sum over pulses two or more periods back.
-
-    That sum is a pure exponential exp(off - s/tau) / (1 - q) with
-    q = exp(-period/tau) and off = sigma^2/(2 tau^2) - 2*period/tau.
-    Returns (off, 1/(1-q)), with zero coefficient when the tail underflows.
-    """
-    x = period / tau
-    if x > 690.0:
-        return 0.0, 0.0
-    q = np.exp(-x)
-    c = sigma**2 / (2.0 * tau**2)
-    return c - 2.0 * x, 1.0 / (1.0 - q)
-
-
-def _check_tail(tail, tau, sigma, period):
-    # the tail's exp overflows once sigma^2/(2 tau^2) - period/tau passes ~709
-    if not np.all(np.isfinite(tail)):
-        raise ValueError(
-            f"pile-up sum overflows: IRF sigma {sigma:g} ns is too wide for "
-            f"lifetime {tau:g} ns at pulse period {period:g} ns")
 
 
 def _check_within_period(values, period):
@@ -201,34 +147,16 @@ def _check_within_period(values, period):
         raise ValueError("times must lie within one period of the pulse")
 
 
-def periodic_decay_value(s, tau: float, sigma: float, period: float):
-    """Steady-state decay kernel under pulsed excitation with pile-up.
-
-    Sum of exp_conv_gauss over all pulse repetitions j: sum_j k(s - j*period);
-    exactly periodic in s.  Valid for s in [-period, period] (enforced), which
-    covers any observation window not exceeding one period.
-    """
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    s, restore = _prepare(s)
-    _check_within_period(s, period)
-    flat = lambda x: np.asarray(exp_conv_gauss(x, tau, sigma)).ravel()
-    out = flat(s) + flat(s + period) + flat(s - period)
-    off, coeff = _geom_tail_coeff(tau, sigma, period)
-    if coeff != 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            tail = coeff * np.exp(off - s / tau)
-        _check_tail(tail, tau, sigma, period)
-        out = out + tail
-    return restore(out)
-
-
 def periodic_decay_mass(a, b, tau: float, sigma: float, period: float):
-    """Integral of periodic_decay_value over [a, b]; bounds within one period.
+    """Steady-state kernel mass over [a, b] under pulsed excitation.
 
-    The per-period integral (b - a = period) is exactly tau: wrapping
-    conserves the single-pulse mass.  Raises ValueError where the pile-up
-    tail overflows, which takes an IRF far wider than tau.
+    The steady-state kernel is the sum over all pulse repetitions j of the
+    kernel at s - j*period, exactly periodic in s; bounds must lie within
+    one period of the pulse.  The pulses one period either side are summed
+    directly, the older ones as a geometric series.  The per-period
+    integral (b - a = period) is exactly tau: wrapping conserves the
+    single-pulse mass.  Raises ValueError where the pile-up tail overflows,
+    which takes an IRF far wider than tau.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
@@ -240,48 +168,22 @@ def periodic_decay_mass(a, b, tau: float, sigma: float, period: float):
     out = flat(b_arr) - flat(a_arr)
     for shift in (period, -period):
         out = out + flat(b_arr + shift) - flat(a_arr + shift)
-    off, coeff = _geom_tail_coeff(tau, sigma, period)
-    if coeff != 0.0:
+    # pulses two or more periods back sum to exp(off - s/tau) / (1 - q)
+    # with q = exp(-period/tau); skipped once q underflows
+    x = period / tau
+    if x <= 690.0:
+        off = sigma**2 / (2.0 * tau**2) - 2.0 * x
+        coeff = 1.0 / (1.0 - np.exp(-x))
         with np.errstate(over="ignore", invalid="ignore"):
             tail = coeff * tau * (np.exp(off - a_arr / tau)
                                   - np.exp(off - b_arr / tau))
-        _check_tail(tail, tau, sigma, period)
+        # exp overflows once sigma^2/(2 tau^2) - period/tau passes ~709
+        if not np.all(np.isfinite(tail)):
+            raise ValueError(
+                f"pile-up sum overflows: IRF sigma {sigma:g} ns is too wide "
+                f"for lifetime {tau:g} ns at pulse period {period:g} ns")
         out = out + tail
     return restore(out)
-
-
-# ---------------------------------------------------------------------------
-# partial derivatives of exp_conv_gauss
-# ---------------------------------------------------------------------------
-
-def exp_conv_gauss_dtau(t, tau: float, sigma: float):
-    """d/d tau of exp_conv_gauss at fixed t, sigma."""
-    t, restore = _prepare(t)
-    if sigma == 0.0:
-        out = np.zeros_like(t)
-        m = t >= 0.0
-        out[m] = np.exp(-t[m] / tau) * t[m] / tau**2
-        return restore(out)
-    _, kern, bump = _emg(t, tau, sigma)
-    return restore(_kern_dtau(t, tau, sigma, kern, bump))
-
-
-def exp_conv_gauss_dt(t, tau: float, sigma: float):
-    """d/dt of exp_conv_gauss (sigma > 0 only; the bare kernel has a step)."""
-    if sigma <= 0.0:
-        raise ValueError("time derivative requires sigma > 0")
-    t, restore = _prepare(t)
-    _, kern, bump = _emg(t, tau, sigma)
-    return restore(-kern / tau + bump / (sigma * _SQRT2PI))
-
-
-def exp_conv_gauss_dsigma(t, tau: float, sigma: float):
-    """d/d sigma of exp_conv_gauss (sigma > 0 only)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma derivative requires sigma > 0")
-    t, restore = _prepare(t)
-    _, kern, bump = _emg(t, tau, sigma)
-    return restore(_kern_dsigma(t, tau, sigma, kern, bump))
 
 
 def edges_from_centers(centers):

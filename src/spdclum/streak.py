@@ -36,6 +36,9 @@ class StreakParseError(Exception):
         super().__init__(message)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _format_float(x: float) -> str:
     return repr(float(x))
 
@@ -89,9 +92,6 @@ class StreakImage:
     @property
     def total_counts(self) -> int:
         return int(self.counts.sum())
-
-    def wavelength_binwidth(self) -> float:
-        return float(np.median(np.diff(self.wavelength_axis_nm)))
 
     def time_binwidth(self) -> float:
         return float(np.median(np.diff(self.time_axis_ns)))
@@ -157,21 +157,26 @@ def _data_lines(path, metadata: dict[str, str]):
     """Yield (1-based line number, stripped line) for every data line.
 
     Blank lines and comment lines are skipped; ``# key = value`` comments
-    are collected into metadata.
+    are collected into metadata.  A file that is not UTF-8 text raises
+    StreakParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    if key.strip():
-                        metadata[key.strip()] = value.strip()
-                continue
-            yield lineno, line
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" in body:
+                        key, _, value = body.partition("=")
+                        if key.strip():
+                            metadata[key.strip()] = value.strip()
+                    continue
+                yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise StreakParseError(
+                f"not a UTF-8 text file ({exc.reason})") from None
 
 
 def read_trace_csv(path):
@@ -238,6 +243,9 @@ def read_streak_csv(path) -> StreakImage:
             raise StreakParseError("counts must be integers", lineno) from None
         if min(rows[-1]) < 0:
             raise StreakParseError("counts must be nonnegative", lineno)
+        if max(rows[-1]) > _INT64_MAX:
+            raise StreakParseError("counts must fit in a 64-bit integer",
+                                   lineno)
     if wavelengths is None or not rows:
         raise StreakParseError("no image data found")
     exposure = metadata.pop("exposure", None)

@@ -8,9 +8,10 @@ The expectation is separable:
 with T = exposure / repetition_rate the live integration time, G the IRF
 kernel mass in the time bin, D the decay mass (IRF-convolved, pile-up
 corrected and normalized per pulse period), and S the spectral density mass in
-the wavelength bin.  Time masses use exact closed forms; wavelength masses use
-refined trapezoid quadrature.  Shot noise is the only noise source: every bin
-is an independent Poisson draw.
+the wavelength bin.  Time masses use the exact closed forms of kernels;
+wavelength masses come from emission.spectral_bin_masses, the sub-sampled
+trapezoid that also gives the filters their band masses.  Shot noise is the
+only noise source: every bin is an independent Poisson draw.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import hashlib
 import numpy as np
 
 from . import kernels
-from .emission import (EmissionModel, SpectralProfile, model_fingerprint,
+from .emission import (EmissionModel, model_fingerprint, spectral_bin_masses,
                        uniform_bin_count)
 from .streak import StreakImage
 
@@ -35,22 +36,6 @@ def time_grid(min_ns: float, max_ns: float, step_ns: float) -> np.ndarray:
         raise ValueError("time max must exceed min")
     return min_ns + step_ns * np.arange(
         uniform_bin_count(min_ns, max_ns, step_ns, "time"))
-
-
-def _spectral_bin_masses(profile: SpectralProfile, grid, edges: np.ndarray) -> np.ndarray:
-    """Integral of the normalized density over each wavelength bin."""
-    from .emission import _norm_constant
-
-    z = _norm_constant(profile, grid)
-    widths = np.diff(edges)
-    # sub-sample each bin at least 8 times and no coarser than grid.step/16
-    n_sub = max(8, int(np.ceil(widths.max() / (grid.step_nm / 16.0))))
-    frac = np.linspace(0.0, 1.0, n_sub + 1)
-    pts = edges[:-1, None] + widths[:, None] * frac[None, :]
-    vals = profile.shape(pts) / z
-    # densities vanish outside the grid span
-    vals[(pts < grid.min_nm) | (pts > grid.max_nm)] = 0.0
-    return np.trapezoid(vals, pts, axis=1)
 
 
 def _temporal_masses(model: EmissionModel, t_edges: np.ndarray, t0: float
@@ -91,8 +76,8 @@ def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
             (model.spdc_rate_hz, spdc_t, model.spdc_spectrum),
             (model.lum_rate_hz, lum_t, model.lum_spectrum)):
         if rate != 0.0:
-            term = np.outer(mass_t, _spectral_bin_masses(profile, model.grid,
-                                                         lam_edges))
+            term = np.outer(mass_t, spectral_bin_masses(profile, model.grid,
+                                                        lam_edges))
             term *= rate
             if out is None:
                 out = term

@@ -352,3 +352,39 @@ def test_fit_overflowing_trace_exits_4(tmp_path, capfd, shape):
     assert code == 4
     assert "flag: not-converged" in out
     assert err == "fit did not converge\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "fit"])
+def test_binary_input_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "image.csv"
+    path.write_bytes(b"\xff\xd8\xff\xe0 not text")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 3
+    assert "not a UTF-8 text file" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "fit"])
+def test_count_beyond_int64_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "image.csv"
+    path.write_text("# streak-image/v1\n# exposure = 5\n500.0,501.0\n"
+                    f"0.0,1,2\n1.0,3,{2**63}\n")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 3
+    assert "line 5: counts must fit in a 64-bit integer" in err
+
+
+def test_synth_spectral_sample_limit_exits_2(tmp_path, capsys):
+    # two 400 nm bins over a 0.0005 nm grid pass both bin limits but would
+    # take 2.56e7 quadrature samples; the limit stops it before allocating
+    from spdclum.emission import MAX_SPECTRAL_SAMPLES
+
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "synth", "--out", str(out),
+                       "--set", "grid.step_nm=0.0005",
+                       "--set", "synth.wavelength_min_nm=300",
+                       "--set", "synth.wavelength_max_nm=700",
+                       "--set", "synth.wavelength_step_nm=400")
+    assert code == 2
+    assert "25600000 samples" in err
+    assert f"limit of {MAX_SPECTRAL_SAMPLES}" in err
+    assert not (out / "streak.csv").exists()

@@ -105,6 +105,29 @@ def test_band_mass_validation():
         band_mass(model.lum_spectrum, model.grid, (500.0, 400.0))
 
 
+def test_band_mass_is_one_synthesis_bin():
+    # filters and synthesis integrate the spectrum with the same rule;
+    # equal widths, since the sub-sampling follows the widest bin
+    model = make_model()
+    edges = np.array([400.0, 433.25, 466.5, 499.75, 533.0])
+    for profile in (model.lum_spectrum, model.spdc_spectrum):
+        masses = emission.spectral_bin_masses(profile, model.grid, edges)
+        for k in range(edges.size - 1):
+            assert band_mass(profile, model.grid,
+                             (edges[k], edges[k + 1])) == masses[k]
+
+
+def test_spectral_sample_limit():
+    model = make_model(grid=WavelengthGrid(300.0, 700.0, 0.0005))
+    edges = np.array([100.0, 500.0, 900.0])
+    limit = emission.MAX_SPECTRAL_SAMPLES
+    # a whole axis at the bin limit, sub-sampled at its own step, fits
+    assert limit >= 16 * emission.MAX_AXIS_BINS + 16
+    with pytest.raises(ValueError, match=f"25600000 samples .* limit of "
+                                         f"{limit}"):
+        emission.spectral_bin_masses(model.lum_spectrum, model.grid, edges)
+
+
 def test_decay_intensity_strictly_decreasing():
     model = make_model()
     t = np.linspace(0.0, 30000.0, 2000)

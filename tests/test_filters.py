@@ -144,7 +144,7 @@ def test_chain_allows_single_gate_only():
     with pytest.raises(ValueError):
         FilterChain((g, g))
     chain = FilterChain((Polarizer(), g))
-    assert chain.gate is g
+    assert chain.filters == (Polarizer(), g)
     assert len(chain) == 2
 
 

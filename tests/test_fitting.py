@@ -463,3 +463,22 @@ def test_independence_report_validation():
     }
     with pytest.raises(ValueError):
         decay_independence_report(mixed)
+
+
+def test_undetermined_lifetime_reports_inf():
+    # a second component forced onto single-lifetime data fits with zero
+    # amplitude, so nothing determines its lifetime: the Jacobian's column
+    # for it vanishes and its sigma must read inf, not pinv's zero
+    model = make_model(amplitudes=(1.0,), lifetimes_ns=(0.73,),
+                       spdc_rate_hz=0.0)
+    img = synthesize(model, None, time_grid(-2.0, 8.0, 0.05), exposure=20000,
+                     seed=3)
+    t, y = extract_time_trace(img, (514.0, 554.0))
+    fit = fit_multiexp(t, y, 2, irf_fwhm_ns=0.15)
+    assert "ill-conditioned" in fit.flags
+    empty, kept = fit.components
+    assert empty.amplitude == 0.0
+    assert math.isinf(empty.lifetime_rel_sigma)
+    # the determined component keeps finite uncertainties
+    assert 0.0 < kept.lifetime_rel_sigma < 0.1
+    assert 0.0 < kept.amplitude_rel_sigma < 0.1

@@ -119,3 +119,18 @@ def test_public_names_resolve():
     assert namespace["DecayFit"] is spdclum.fitting.DecayFit
     with pytest.raises(AttributeError):
         spdclum.no_such_name
+
+
+def test_no_private_cross_module_imports():
+    # a module reaching into another's private names couples the two
+    # silently; share the name publicly or keep the code in one place
+    import ast
+
+    offenders = []
+    for path in sorted((ROOT / "src" / "spdclum").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offenders == []

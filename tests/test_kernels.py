@@ -16,6 +16,12 @@ from spdclum import kernels
 TAU = 0.73
 SIGMA_015 = kernels.FWHM_TO_SIGMA * 0.15
 
+
+def density(t, tau, sigma):
+    """The kernel itself: dF/dt of exp_conv_gauss_cdf."""
+    return kernels.exp_conv_gauss_cdf_grad(t, tau, sigma)[1]
+
+
 # exp(-t/tau) (x) gaussian(sigma) for tau=0.73, IRF FWHM 0.15
 EMG_SPOTS = {
     -0.2: 0.00082569692975704987,
@@ -32,13 +38,13 @@ def test_fwhm_sigma_conversion():
 
 def test_emg_spot_values():
     for t, expected in EMG_SPOTS.items():
-        got = kernels.exp_conv_gauss(t, TAU, SIGMA_015)
+        got = density(t, TAU, SIGMA_015)
         assert got == pytest.approx(expected, rel=1e-12), t
 
 
 def test_emg_vectorized_matches_scalars():
     ts = np.array(sorted(EMG_SPOTS))
-    got = kernels.exp_conv_gauss(ts, TAU, SIGMA_015)
+    got = density(ts, TAU, SIGMA_015)
     want = np.array([EMG_SPOTS[t] for t in sorted(EMG_SPOTS)])
     assert np.allclose(got, want, rtol=1e-12)
 
@@ -60,15 +66,15 @@ def test_emg_integral_preserved_across_widths():
 
 def test_emg_sigma_zero_is_bare_exponential():
     t = np.array([-1.0, 0.5, 2.0])
-    got = kernels.exp_conv_gauss(t, TAU, 0.0)
+    got = density(t, TAU, 0.0)
     want = np.where(t >= 0.0, np.exp(-t / TAU), 0.0)
     assert np.allclose(got, want, rtol=1e-14)
 
 
 def test_emg_far_negative_underflows_to_zero():
     # deep in the Gaussian's left tail both branches must agree and vanish
-    assert kernels.exp_conv_gauss(-30.0, TAU, SIGMA_015) == 0.0
-    assert np.isfinite(kernels.exp_conv_gauss(-1e6, 1e6, 1.0))
+    assert density(-30.0, TAU, SIGMA_015) == 0.0
+    assert np.isfinite(density(-1e6, 1e6, 1.0))
 
 
 def test_emg_asymptotic_branch_continuous():
@@ -77,11 +83,11 @@ def test_emg_asymptotic_branch_continuous():
     tau, sigma = 1.0, 0.1
     for z in (-20.0, -22.0, -24.0, -24.9):
         t = sigma * (sigma / tau - z)  # invert z = sigma/tau - t/sigma
-        near = kernels.exp_conv_gauss(t, tau, sigma)
+        near = density(t, tau, sigma)
         far = math.exp(sigma ** 2 / (2 * tau ** 2) - t / tau)
         assert near == pytest.approx(far, rel=1e-12)
     # far side of the switch stays finite for extreme arguments
-    assert np.isfinite(kernels.exp_conv_gauss(1e6, 1e4, 0.1))
+    assert np.isfinite(density(1e6, 1e4, 0.1))
 
 
 def test_gaussian_cdf_matches_erf():
@@ -118,17 +124,21 @@ def test_periodic_mass_oracle_values():
     assert frac2 > frac3
 
 
-def test_periodic_value_positive_and_periodic():
-    tau, sigma, period = 1850.0, SIGMA_015, 1e4
-    left = kernels.periodic_decay_value(-period / 2, tau, sigma, period)
-    right = kernels.periodic_decay_value(period / 2, tau, sigma, period)
-    assert left > 0.0
-    assert left == pytest.approx(right, rel=1e-9)
+def test_periodic_mass_positive_and_periodic():
+    # the same short bin one period apart holds the same steady-state mass;
+    # the bins at -period and +period need the pulses one period either side
+    tau, sigma, period, width = 1850.0, SIGMA_015, 1e4, 1.0
+    for lo in (-period, -period / 2, -width):
+        left = kernels.periodic_decay_mass(lo, lo + width, tau, sigma, period)
+        right = kernels.periodic_decay_mass(lo + period, lo + period + width,
+                                            tau, sigma, period)
+        assert left > 0.0
+        assert left == pytest.approx(right, rel=1e-9), lo
 
 
 def test_periodic_outside_period_rejected():
     with pytest.raises(ValueError):
-        kernels.periodic_decay_value(2e4, 1850.0, 0.0, 1e4)
+        kernels.periodic_decay_mass(0.0, 2e4, 1850.0, 0.0, 1e4)
     with pytest.raises(ValueError):
         kernels.periodic_decay_mass(-2e4, 0.0, 1850.0, 0.0, 1e4)
 
@@ -138,28 +148,29 @@ def _central(fn, x, h):
 
 
 def test_kernel_derivatives_match_finite_differences():
+    # dF/dtau and dF/dsigma of exp_conv_gauss_cdf_grad against central
+    # differences of exp_conv_gauss_cdf
     rng = np.random.default_rng(20240817)
+    cdf = kernels.exp_conv_gauss_cdf
     for _ in range(10):
         tau = float(rng.uniform(0.2, 5.0))
         sigma = float(rng.uniform(0.02, 0.5))
         t = float(rng.uniform(-0.5, 3.0))
+        _, _, d_tau, d_sigma = kernels.exp_conv_gauss_cdf_grad(t, tau, sigma)
         h_tau = 1e-5 * tau
-        num = _central(lambda x: kernels.exp_conv_gauss(t, x, sigma),
-                       tau, h_tau)
-        ana = kernels.exp_conv_gauss_dtau(t, tau, sigma)
-        assert ana == pytest.approx(num, rel=1e-4, abs=1e-9)
-
-        h_t = 1e-5 * max(abs(t), 0.1)
-        num = _central(lambda x: kernels.exp_conv_gauss(x, tau, sigma),
-                       t, h_t)
-        ana = kernels.exp_conv_gauss_dt(t, tau, sigma)
-        assert ana == pytest.approx(num, rel=1e-4, abs=1e-8)
+        num = _central(lambda x: cdf(t, x, sigma), tau, h_tau)
+        assert d_tau == pytest.approx(num, rel=1e-4, abs=1e-9)
 
         h_s = 1e-5 * sigma
-        num = _central(lambda x: kernels.exp_conv_gauss(t, tau, x),
-                       sigma, h_s)
-        ana = kernels.exp_conv_gauss_dsigma(t, tau, sigma)
-        assert ana == pytest.approx(num, rel=1e-4, abs=1e-8)
+        num = _central(lambda x: cdf(t, tau, x), sigma, h_s)
+        assert d_sigma == pytest.approx(num, rel=1e-4, abs=1e-8)
+
+    # the bare exponential: dF/dtau by differences, dF/dsigma exactly zero
+    for t in (-0.5, 0.3, 2.0):
+        _, _, d_tau, d_sigma = kernels.exp_conv_gauss_cdf_grad(t, TAU, 0.0)
+        num = _central(lambda x: cdf(t, x, 0.0), TAU, 1e-5 * TAU)
+        assert d_tau == pytest.approx(num, rel=1e-4, abs=1e-9)
+        assert d_sigma == 0.0
 
 
 def test_cdf_is_antiderivative():
@@ -168,23 +179,23 @@ def test_cdf_is_antiderivative():
     for t in ts:
         num = (kernels.exp_conv_gauss_cdf(t + h, TAU, SIGMA_015)
                - kernels.exp_conv_gauss_cdf(t - h, TAU, SIGMA_015)) / (2 * h)
-        ana = kernels.exp_conv_gauss(t, TAU, SIGMA_015)
+        ana = density(t, TAU, SIGMA_015)
         assert num == pytest.approx(ana, rel=1e-7, abs=1e-12)
+    # the gradient's F is exp_conv_gauss_cdf itself
+    F = kernels.exp_conv_gauss_cdf_grad(ts, TAU, SIGMA_015)[0]
+    assert np.array_equal(F, kernels.exp_conv_gauss_cdf(ts, TAU, SIGMA_015))
 
 
 def test_periodic_pileup_overflow_raises():
     # IRF 100 ns FWHM against the 0.73 ns lifetime at 10 MHz: the pile-up
     # tail's exponential overflows; no overflow warning may escape either
     sigma = kernels.FWHM_TO_SIGMA * 100.0
-    calls = (lambda: kernels.periodic_decay_mass(-40.0, 40.0, 0.73, sigma, 100.0),
-             lambda: kernels.periodic_decay_value(0.0, 0.73, sigma, 100.0))
-    for call in calls:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as err:
-                call()
-        message = str(err.value)
-        assert "pile-up" in message
-        assert f"IRF sigma {sigma:g} ns" in message
-        assert "lifetime 0.73 ns" in message
-        assert "period 100 ns" in message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            kernels.periodic_decay_mass(-40.0, 40.0, 0.73, sigma, 100.0)
+    message = str(err.value)
+    assert "pile-up" in message
+    assert f"IRF sigma {sigma:g} ns" in message
+    assert "lifetime 0.73 ns" in message
+    assert "period 100 ns" in message

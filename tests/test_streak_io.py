@@ -153,3 +153,23 @@ def test_trace_nonfinite_row_rejected(tmp_path, row):
         read_trace_csv(path)
     assert "line 3" in str(err.value)
     assert "finite" in str(err.value)
+
+
+def test_parse_error_count_beyond_int64(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# exposure = 5\n500,501\n0.0,3,4\n1.0,2,{2**63}\n")
+    with pytest.raises(StreakParseError) as err:
+        read_streak_csv(path)
+    assert "line 4" in str(err.value)
+    assert "64-bit" in str(err.value)
+    # the largest int64 count still reads
+    path.write_text(f"# exposure = 5\n500,501\n0.0,3,4\n1.0,2,{2**63 - 1}\n")
+    assert read_streak_csv(path).counts[1, 1] == 2**63 - 1
+
+
+def test_parse_error_binary_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfe\x00binary")
+    for reader in (read_streak_csv, read_trace_csv):
+        with pytest.raises(StreakParseError, match="not a UTF-8 text file"):
+            reader(path)
