@@ -3,10 +3,11 @@
 Damped least squares (projected Levenberg-Marquardt) with an analytic
 Jacobian and Poisson weights w = 1/max(counts, 1).  Every start on a
 deterministic grid of log-spaced lifetimes gets its amplitudes and baseline
-seeded by nonnegative linear least squares (Lawson-Hanson); the starts are
-ranked by that seed's objective and only the best one is refined.  Both
-solvers are NumPy code in this module.  Uncertainties come from the
-quadratic approximation at the optimum, scaled by the reduced chi-square.
+seeded by nonnegative linear least squares, all from one kernel column per
+lifetime and one Gram matrix; the starts are ranked by that seed's objective
+and only the best one is refined.  Both solvers are NumPy code in this
+module.  Uncertainties come from the quadratic approximation at the optimum,
+scaled by the reduced chi-square.
 
 The model per time bin is the bin average of
 
@@ -95,60 +96,37 @@ class LeastSquaresResult(NamedTuple):
     nfev: int
 
 
-def nnls(a, b) -> tuple[np.ndarray, float]:
-    """Solve min ||a x - b|| subject to x >= 0; return (x, residual norm).
+def nnls_supports(a, b, supports) -> np.ndarray:
+    """min ||a[:, s] x - b|| subject to x >= 0 for each row s of the integer
+    array supports (at most four columns each); one x per row.
 
-    Lawson & Hanson's active-set method (Solving Least Squares Problems,
-    1974, ch. 23), each passive-set solve by numpy.linalg.lstsq.  A column
-    that would enter the passive set with a nonpositive value is passed
-    over, and a variable whose step is blocked at zero is set to exactly
-    zero and leaves the passive set, so rounding noise cannot make the
-    active set cycle.  After 3 * n outer iterations the current feasible
-    iterate is returned.
+    The optimum is the least-squares solution on a support with independent
+    columns (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23):
+    the best all-positive one over the subsets of s, which are solved in one
+    batch from the Gram matrix of a with unit-norm columns.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.shape[1]
-
-    def solve_on(passive):
-        z = np.zeros(n)
-        if passive.any():
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-        return z
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    # gradient entries below this are rounding noise
-    tol = (10.0 * np.finfo(float).eps * max(a.shape)
-           * np.abs(a).max(initial=0.0) * np.abs(b).max(initial=0.0))
-    for _ in range(3 * n):
-        w = a.T @ (b - a @ x)
-        w[passive] = -np.inf
-        while True:
-            j = int(np.argmax(w))
-            if not w[j] > tol:
-                return x, float(np.linalg.norm(a @ x - b))
-            # of columns tied up to rounding (duplicates), the first enters
-            j = int(np.argmax(w >= w[j] - tol))
-            passive[j] = True
-            z = solve_on(passive)
-            if z[j] > 0.0:
-                break
-            passive[j] = False
-            w[j] = -np.inf
-        # move toward the passive-set solution until a variable reaches
-        # zero; every pass drops at least one variable
-        while not np.all(z[passive] > 0.0):
-            blocked = np.flatnonzero(passive & ~(z > 0.0))
-            ratios = x[blocked] / (x[blocked] - z[blocked])
-            k = np.argmin(ratios)
-            x = x + ratios[k] * (z - x)
-            x[blocked[k]] = 0.0
-            passive &= x > 0.0
-            x[~passive] = 0.0
-            z = solve_on(passive)
-        x = z
-    return x, float(np.linalg.norm(a @ x - b))
+    norm = np.linalg.norm(a, axis=0)
+    norm[norm == 0.0] = 1.0
+    a = a / norm
+    gram, proj, b_sq = a.T @ a, a.T @ b, float(b @ b)
+    # each nonempty subset, larger first, with identity rows pinning the rest
+    keep = np.array(list(itertools.product((True, False),
+                                           repeat=supports.shape[1]))[:-1])
+    sup = supports[:, None, :]
+    block = np.where(keep[:, :, None] & keep[:, None, :],
+                     gram[sup[..., :, None], sup[..., None, :]],
+                     np.eye(keep.shape[1]))
+    rhs = np.where(keep, proj[sup], 0.0)
+    det = np.linalg.det(block)
+    ok = (det != 0.0) & np.isfinite(det) & np.all(np.isfinite(rhs), -1)
+    z = np.full(rhs.shape, np.nan)
+    z[ok] = np.linalg.solve(block[ok], rhs[ok][..., None])[..., 0]
+    feasible = np.all(((z > 0.0) | ~keep) & np.isfinite(z), -1)
+    # b_sq - z.rhs is the squared residual of a least-squares solution
+    rss = np.where(feasible, b_sq - np.sum(z * rhs, -1), np.inf)
+    rows, j = np.arange(len(supports)), np.argmin(rss, axis=1)
+    return np.where((rss[rows, j] < b_sq)[:, None],
+                    z[rows, j] / norm[supports], 0.0)
 
 
 def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
@@ -301,15 +279,15 @@ class DecayDesign:
         # bin average of a kernel antiderivative difference; matches how
         # synthetic traces integrate the model over bins, so recovered
         # parameters carry no binning bias
-        return (v[1:] - v[:-1]) / self.widths
+        return (v[..., 1:] - v[..., :-1]) / self.widths
 
     def model(self, theta):
         baseline, t0, amps, taus, fwhm = self._split(theta)
         sigma = self._sigma(fwhm)
         out = np.full_like(self.t, baseline)
-        for a, tau in zip(amps, taus):
-            out = out + a * self._avg(
-                kernels.exp_conv_gauss_cdf(self.edges - t0, tau, sigma))
+        for a, f in zip(amps, kernels.exp_conv_gauss_cdf(self.edges - t0,
+                                                         taus, sigma)):
+            out = out + a * self._avg(f)
         return out
 
     def residuals(self, theta):
@@ -378,28 +356,35 @@ class DecayDesign:
 
     def initial_theta(self, taus: Sequence[float]) -> np.ndarray:
         """Seed amplitudes (and baseline) by nonnegative least squares."""
-        sigma = self._sigma(self.irf_fwhm_ns)
-        edges = self.edges - self.t0_fixed
-        cols = [self._avg(kernels.exp_conv_gauss_cdf(edges, tau, sigma))
-                for tau in taus]
-        if self.baseline_mode == "free":
-            cols.append(np.ones_like(self.t))
-        a_mat = np.column_stack(cols) * self.w[:, None]
-        coef, _ = nnls(a_mat, self.y * self.w)
-        amps = coef[:self.n]
-        baseline = coef[self.n] if self.baseline_mode == "free" else 0.0
+        return self.best_start([taus])
+
+    def best_start(self, starts) -> np.ndarray:
+        """initial_theta of the lifetime start whose seed fits best.
+
+        One kernel call gives a column per distinct lifetime, from which
+        nnls_supports seeds every start and the objectives rank them.
+        """
+        taus, support = np.unique(np.asarray(starts, dtype=float),
+                                  return_inverse=True)
+        support = support.reshape(len(starts), self.n)
+        cols = self._avg(kernels.exp_conv_gauss_cdf(
+            self.edges - self.t0_fixed, taus, self._sigma(self.irf_fwhm_ns)))
+        free = int(self.baseline_mode == "free")  # baseline column last
+        a_mat = np.vstack([cols, np.ones((free, self.t.size))]).T
+        support = np.hstack([support, np.full((len(starts), free), taus.size)])
+        coef = nnls_supports(a_mat * self.w[:, None], self.y * self.w, support)
         floor = max(self.y.max(initial=0.0), 1.0) * 1e-6
-        amps = np.maximum(amps, floor)
-        theta = []
-        if self.baseline_mode == "free":
-            theta.append(max(baseline, 0.0))
-        if self.fit_t0:
-            theta.append(self.t0_fixed)
-        theta.extend(amps)
-        theta.extend(taus)
-        if self.fit_irf:
-            theta.append(self.irf_fwhm_ns)
-        return np.array(theta, dtype=float)
+        amps, base = (np.maximum(coef[:, :self.n], floor),
+                      np.maximum(coef[:, self.n:], 0.0))
+        # each seed's objective, in model's operation order
+        out = np.zeros_like(self.t) + (base if free else 0.0)
+        for k in range(self.n):
+            out = out + amps[:, k, None] * cols[support[:, k]]
+        objectives = [0.5 * float(r @ r) for r in (out - self.y) * self.w]
+        best = min(range(len(starts)), key=objectives.__getitem__)
+        return np.concatenate([
+            base[best], [self.t0_fixed] * self.fit_t0, amps[best],
+            taus[support[best, :self.n]], [self.irf_fwhm_ns] * self.fit_irf])
 
 
 def fit_multiexp(time_ns, counts, n_components: int,
@@ -438,9 +423,8 @@ def fit_multiexp(time_ns, counts, n_components: int,
         # on well-posed traces every start of the lifetime grid refines to
         # the same optimum, so rank the NNLS-seeded starts and refine only
         # the best
-        starts = [np.clip(design.initial_theta(taus), lo, hi)
-                  for taus in design.start_lifetimes()]
-        theta0 = min(starts, key=design.objective)
+        starts = design.start_lifetimes()
+        theta0 = np.clip(design.best_start(starts), lo, hi)
         res = least_squares(design.residuals, theta0, design.jacobian,
                             (lo, hi), max_nfev=300 * design.n_params)
         return _package_fit(design, res, len(starts),
@@ -469,9 +453,9 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
         if np.any(null):
             flags.append("ill-conditioned")
             # pinv gives zero variance along the null space: a parameter
-            # with any weight there is not determined by the data
+            # with more than rounding weight there is not determined
             vt = np.linalg.svd(jtj)[2]
-            sigmas[np.any(vt[null] != 0.0, axis=0)] = np.inf
+            sigmas[np.any(np.abs(vt[null]) > 1e-8, axis=0)] = np.inf
     else:
         sigmas = np.full(design.n_params, np.nan)
 

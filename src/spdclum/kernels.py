@@ -13,7 +13,7 @@ The module exposes only what the model integrates: the Gaussian's and the
 convolution's masses (the latter with its gradient, whose dF/dt is the
 kernel itself) and the steady-state mass under pulsed excitation.
 Wavelength masses are not here: emission.spectral_bin_masses computes them.
-scipy.special loads on the first call that needs erf or erfcx, not on import.
+erfcx and the Gaussian CDF come from Cody's rational approximations in NumPy.
 """
 
 from __future__ import annotations
@@ -30,33 +30,81 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 # branch (pure exponential tail) is used instead
 _Z_SPLIT = -25.0
 
+# Cody, Math. Comp. 23:631 (1969): erf(x) = x R(x^2) for |x| <= 0.46875,
+# erfcx(x) = R(x) up to 4, then (1/sqrt(pi) - u R(u)) / x with u = 1/x^2; each
+# R as (numerator, monic denominator without its leading 1) in Horner order
+_CODY_SMALL = (
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03))
+_CODY_MID = (
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03))
+_CODY_BIG = (
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3))
+
+
+def _rational(x, num, den):
+    p, q = num[0] * x, x
+    for a, b in zip(num[1:-1], den[:-1]):
+        p, q = (p + a) * x, (q + b) * x
+    return (p + num[-1]) / (q + den[-1])
+
+
+def erfcx(x):
+    """exp(x^2) * erfc(x) on a flat float array, by Cody's approximations;
+    below -0.46875 as 2 exp(x^2) - erfcx(-x), which overflows below -26.6."""
+    y = np.abs(x)
+    out = np.empty_like(y)
+    small, big = y <= 0.46875, y > 4.0
+    mid = ~(small | big)
+    s = x[small]
+    out[small] = np.exp(s * s) * (1.0 - s * _rational(s * s, *_CODY_SMALL))
+    out[mid] = _rational(y[mid], *_CODY_MID)
+    u = 1.0 / y[big] ** 2
+    out[big] = (1.0 / np.sqrt(np.pi) - u * _rational(u, *_CODY_BIG)) / y[big]
+    neg = x < -0.46875
+    out[neg] = 2.0 * np.exp(x[neg] ** 2) - out[neg]
+    return out
+
 
 def _prepare(t):
     """Return (flat float array, restore) where restore() rebuilds the
-    caller's shape, collapsing 0-d input to a plain float."""
+    caller's shape on the last axis, collapsing a 0-d result to a float."""
     arr = np.asarray(t, dtype=float)
     shape = arr.shape
 
     def restore(out):
-        out = out.reshape(shape)
-        return float(out) if shape == () else out
+        out = out.reshape(out.shape[:-1] + shape)
+        return float(out) if out.ndim == 0 else out
 
     return arr.ravel(), restore
 
 
 def _causal_exp(t, tau):
     """exp(-t/tau) for t >= 0, zero before; overflow-safe for t << 0."""
-    out = np.zeros_like(t)
-    m = t >= 0.0
-    out[m] = np.exp(-t[m] / tau)
-    return out
+    return np.where(t >= 0.0, np.exp(-np.maximum(t, 0.0) / tau), 0.0)
 
 
 def _check_kernel_args(tau, sigma):
-    if tau <= 0.0:
+    if np.any(tau <= 0.0):
         raise ValueError("lifetime must be positive")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
+
+
+def _phi(w, bump, ex):
+    # Gaussian CDF at sqrt(2) sigma w from exp(-w^2) and ex = erfcx(|w|)
+    tail = 0.5 * bump * ex
+    return np.where(w < 0.0, tail, 1.0 - tail)
 
 
 def _emg(t, tau, sigma):
@@ -66,18 +114,22 @@ def _emg(t, tau, sigma):
     Gaussian bump exp(-t^2 / (2 sigma^2)) = sigma * sqrt(2 pi) * pdf.  The
     kernel's antiderivative is tau * (phi - kern); every kernel and
     derivative here with sigma > 0 is composed from these three arrays.
+    A column of lifetimes gives kern a row each; one erfcx call serves all.
     """
-    from scipy.special import erf, erfcx
+    w = t / (sigma * _SQRT2)
     bump = np.exp(-0.5 * (t / sigma) ** 2)
     z = (sigma / tau - t / sigma) / _SQRT2
     kern = np.empty_like(z)
     near = z >= _Z_SPLIT
-    kern[near] = 0.5 * erfcx(z[near]) * bump[near]
+    ex = erfcx(np.concatenate([z[near], np.abs(w)]))
+    n_near = ex.size - w.size
+    kern[near] = 0.5 * ex[:n_near] * np.broadcast_to(bump, z.shape)[near]
     far = ~near
     if np.any(far):
         # erfc(z) -> 2 as z -> -inf; the correction term is below 1e-270 here
-        kern[far] = np.exp(sigma**2 / (2.0 * tau**2) - t[far] / tau)
-    return 0.5 * (1.0 + erf(t / (sigma * _SQRT2))), kern, bump
+        t_far, tau_far = (np.broadcast_to(v, z.shape)[far] for v in (t, tau))
+        kern[far] = np.exp(sigma**2 / (2.0 * tau_far**2) - t_far / tau_far)
+    return _phi(w, bump, ex[n_near:]), kern, bump
 
 
 def gaussian_cdf(t, sigma: float):
@@ -91,8 +143,9 @@ def gaussian_cdf(t, sigma: float):
     t, restore = _prepare(t)
     if sigma == 0.0:
         return restore((t > 0.0).astype(float))
-    from scipy.special import erf
-    return restore(0.5 * (1.0 + erf(t / (sigma * _SQRT2))))
+    w = t / (sigma * _SQRT2)
+    bump = np.exp(-0.5 * (t / sigma) ** 2)
+    return restore(_phi(w, bump, erfcx(np.abs(w))))
 
 
 def _bare_cdf(t, tau, kern):
@@ -100,19 +153,21 @@ def _bare_cdf(t, tau, kern):
     return np.where(t > 0.0, tau * (1.0 - kern), 0.0)
 
 
-def exp_conv_gauss_cdf(t, tau: float, sigma: float):
+def exp_conv_gauss_cdf(t, tau, sigma: float):
     """Integral from -inf to t of the causal exponential (peak 1 before
     blur) convolved with the Gaussian.
 
     Equals tau * (gaussian_cdf(t) - kernel(t)); tends to tau as t -> +inf.
-    sigma = 0 integrates the bare exponential.
+    sigma = 0 integrates the bare exponential.  A 1-d array of lifetimes
+    gives one row per lifetime, each equal to its single-lifetime call.
     """
-    _check_kernel_args(tau, sigma)
+    col = np.asarray(tau, dtype=float)[..., None]
+    _check_kernel_args(col, sigma)
     t, restore = _prepare(t)
     if sigma == 0.0:
-        return restore(_bare_cdf(t, tau, _causal_exp(t, tau)))
-    phi, kern, _ = _emg(t, tau, sigma)
-    return restore(tau * (phi - kern))
+        return restore(_bare_cdf(t, col, _causal_exp(t, col)))
+    phi, kern, _ = _emg(t, col, sigma)
+    return restore(col * (phi - kern))
 
 
 def exp_conv_gauss_cdf_grad(t, tau: float, sigma: float):
@@ -164,10 +219,11 @@ def periodic_decay_mass(a, b, tau: float, sigma: float, period: float):
     b_arr, _ = _prepare(b)
     _check_within_period(a_arr, period)
     _check_within_period(b_arr, period)
-    flat = lambda x: np.asarray(exp_conv_gauss_cdf(x, tau, sigma)).ravel()
-    out = flat(b_arr) - flat(a_arr)
-    for shift in (period, -period):
-        out = out + flat(b_arr + shift) - flat(a_arr + shift)
+    # this pulse and the pulses one period either side, in one kernel call
+    f = exp_conv_gauss_cdf(np.stack(np.broadcast_arrays(
+        *[v + s for s in (0.0, period, -period) for v in (b_arr, a_arr)])),
+        tau, sigma)
+    out = f[0] - f[1] + f[2] - f[3] + f[4] - f[5]
     # pulses two or more periods back sum to exp(off - s/tau) / (1 - q)
     # with q = exp(-period/tau); skipped once q underflows
     x = period / tau

@@ -83,7 +83,7 @@ class StreakImage:
                 raise ValueError(f"{name} axis must be finite")
         if int(self.exposure) < 1:
             raise ValueError("exposure must be at least one pulse")
-        object.__setattr__(self, "counts", counts.astype(np.int64))
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
         object.__setattr__(self, "wavelength_axis_nm", wl)
         object.__setattr__(self, "time_axis_ns", t)
         object.__setattr__(self, "exposure", int(self.exposure))

@@ -1,9 +1,11 @@
-"""SciPy loads on use, and the package API resolves its names.
+"""No SciPy at run time, and the package API resolves its names.
 
-The subcommand checks run in fresh interpreters, since this test process
-has long since imported SciPy through other tests.
+SciPy stays a test dependency, as a reference.  The subcommand checks run in
+fresh interpreters, since this test process imports SciPy through other
+tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -17,24 +19,26 @@ from spdclum.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs one subcommand, then prints its exit code and the scipy modules it
-# loaded as the last stdout line
+# runs one subcommand, optionally with every scipy import failing, then
+# prints its exit code as the last stdout line
 _PROBE = """
-import json, sys
+import sys
+if sys.argv.pop(1) == "blocked":
+    sys.modules["scipy"] = None
 from spdclum.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "scipy" or m.startswith("scipy."))]))
+print(code)
 """
 
 
 def _fresh(code, *argv, cwd):
+    """stdout of a fresh interpreter running code with argv."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
 
 
 @pytest.fixture(scope="module")
@@ -44,68 +48,84 @@ def image_path(tmp_path_factory):
     return str(out / "streak.csv")
 
 
-def test_package_import_loads_no_scipy(tmp_path):
-    loaded = _fresh("import json, sys, spdclum, spdclum.cli\n"
-                    "print(json.dumps([m for m in sys.modules "
-                    "if m.split('.')[0] == 'scipy']))", cwd=tmp_path)
-    assert loaded == []
-
-
-@pytest.mark.parametrize("argv", [
-    ["herald", "--rs", "1e5", "--rl", "6.036e4", "--tw", "10"],
-    ["herald", "--ps", "1e-3", "--pl", "6.036e-4", "--monte-carlo",
-     "1000000", "--seed", "1"],
-    ["scenario", "--config", str(ROOT / "demos" / "table.cfg")],
-], ids=["herald", "herald-monte-carlo", "scenario"])
-def test_subcommand_runs_without_scipy(argv, tmp_path):
-    code, loaded = _fresh(_PROBE, *argv, cwd=tmp_path)
-    assert code == 0
-    assert loaded == []
-
-
-def test_analyze_runs_without_scipy(image_path, tmp_path):
-    code, loaded = _fresh(_PROBE, "analyze", image_path, cwd=tmp_path)
-    assert code == 0
-    assert loaded == []
-
-
-def test_synth_skips_scipy_optimize(tmp_path):
-    code, loaded = _fresh(_PROBE, "synth", "--out", str(tmp_path / "o"),
-                          "--exposure", "1000", cwd=tmp_path)
-    assert code == 0
-    # the kernels need erf/erfcx, so the probe does see SciPy load here
-    assert "scipy.special" in loaded
-    assert "scipy.optimize" not in loaded
-
-
-def test_fitting_import_loads_no_scipy(tmp_path):
-    loaded = _fresh("import json, sys, spdclum.fitting\n"
-                    "print(json.dumps([m for m in sys.modules "
-                    "if m.split('.')[0] == 'scipy']))", cwd=tmp_path)
-    assert loaded == []
-
-
-def test_fit_image_with_irf_skips_scipy_optimize(image_path, tmp_path):
-    code, loaded = _fresh(_PROBE, "fit", image_path, "--irf", "0.15",
-                          "--band", "560,700", cwd=tmp_path)
-    assert code in (0, 5)
-    # the IRF kernels need erf/erfcx; the solver needs no SciPy
-    assert "scipy.special" in loaded
-    assert "scipy.optimize" not in loaded
-
-
-def test_fit_trace_without_irf_runs_without_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
     import numpy as np
 
     from spdclum.streak import write_trace_csv
 
     t = np.arange(0.0, 5000.0, 10.0)
     y = np.random.default_rng(3).poisson(4000.0 * np.exp(-t / 500.0) + 10.0)
-    path = tmp_path / "trace.csv"
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
     write_trace_csv(str(path), t, y)
-    code, loaded = _fresh(_PROBE, "fit", str(path), "--components", "1",
-                          cwd=tmp_path)
-    assert code == 0
+    return str(path)
+
+
+def test_source_imports_no_scipy():
+    # function bodies included: a lazy import is still a run-time dependency
+    offenders = []
+    for path in sorted((ROOT / "src" / "spdclum").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+_GATE = ["--set", "filter.1.kind=temporal_gate", "--set",
+         "filter.1.window_ns=2", "--set", "filter.1.repetition_rate_hz=1e6",
+         "--set", "scenario.1.label=gated", "--set", "scenario.1.use_chain=true"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "o", "--exposure", "1000"],
+    ["synth", "--config", "{image_dir}/resolved.cfg", "--out", "o"],
+    ["analyze", "{image}"],
+    ["fit", "{trace}", "--components", "1"],
+    ["fit", "{image}", "--irf", "0.15", "--band", "560,700"],
+    ["herald", "--rs", "1e5", "--rl", "6.036e4", "--tw", "10"],
+    ["herald", "--ps", "1e-3", "--pl", "6.036e-4", "--monte-carlo",
+     "1000000", "--seed", "1"],
+    ["scenario", "--config", str(ROOT / "demos" / "table.cfg")],
+    ["scenario", *_GATE],
+], ids=["synth", "synth-rerun", "analyze", "fit", "fit-irf", "herald",
+        "herald-monte-carlo", "scenario", "scenario-temporal-gate"])
+def test_subcommand_runs_without_scipy(argv, image_path, trace_path,
+                                       tmp_path):
+    # with scipy blocked, each subcommand exits, prints and writes exactly
+    # what an unblocked run does
+    argv = [a.format(image=image_path, image_dir=Path(image_path).parent,
+                     trace=trace_path) for a in argv]
+    runs = {}
+    for mode in ("blocked", "plain"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        stdout = _fresh(_PROBE, mode, *argv, cwd=cwd)
+        runs[mode] = (stdout, {p.relative_to(cwd): p.read_bytes()
+                               for p in cwd.rglob("*") if p.is_file()})
+    assert runs["blocked"] == runs["plain"]
+    code = int(runs["plain"][0].splitlines()[-1])
+    assert code in (0, 5)
+
+
+def test_package_import_loads_no_scipy(tmp_path):
+    loaded = json.loads(_fresh("import json, sys, spdclum, spdclum.cli\n"
+                               "print(json.dumps([m for m in sys.modules "
+                               "if m.split('.')[0] == 'scipy']))",
+                               cwd=tmp_path))
+    assert loaded == []
+
+
+def test_fitting_import_loads_no_scipy(tmp_path):
+    loaded = json.loads(_fresh("import json, sys, spdclum.fitting\n"
+                               "print(json.dumps([m for m in sys.modules "
+                               "if m.split('.')[0] == 'scipy']))",
+                               cwd=tmp_path))
     assert loaded == []
 
 
@@ -124,8 +144,6 @@ def test_public_names_resolve():
 def test_no_private_cross_module_imports():
     # a module reaching into another's private names couples the two
     # silently; share the name publicly or keep the code in one place
-    import ast
-
     offenders = []
     for path in sorted((ROOT / "src" / "spdclum").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -199,3 +199,51 @@ def test_periodic_pileup_overflow_raises():
     assert f"IRF sigma {sigma:g} ns" in message
     assert "lifetime 0.73 ns" in message
     assert "period 100 ns" in message
+
+
+# Cody's three ranges, split at 0.46875 and 4, and the reflection below
+# -0.46875; the kernel switches to its far branch at _Z_SPLIT = -25
+_ERFCX_RANGES = [(-0.46875, 0.46875), (0.46875, 4.0), (4.0, 50.0),
+                 (50.0, 1e6), (-4.0, -0.46875), (-26.0, -4.0)]
+_ERFCX_EDGES = [-0.46875, 0.46875, -4.0, 4.0, kernels._Z_SPLIT, 50.0, 1e6]
+
+
+def _erfcx_reference(x):
+    import mpmath
+
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.erfc(v) * mpmath.exp(v * v))
+                         for v in map(mpmath.mpf, x)])
+
+
+def _erfcx_bar(x):
+    # 2 exp(x^2) - erfcx(-x) carries exp's rounding of x^2 below -4
+    return np.where(x < -4.0, 1e-13, 2e-15)
+
+
+@pytest.mark.parametrize("lo, hi", _ERFCX_RANGES)
+def test_erfcx_accuracy(lo, hi):
+    from scipy.special import erfcx as scipy_erfcx
+
+    rng = np.random.default_rng(20261018)
+    x = np.concatenate([rng.uniform(lo, hi, 200),
+                        [e for e in _ERFCX_EDGES if lo <= e <= hi]])
+    x = np.concatenate([x, np.nextafter(x, lo), np.nextafter(x, hi)])
+    got = kernels.erfcx(x)
+    for ref in (_erfcx_reference(x), scipy_erfcx(x)):
+        assert np.all(np.abs(got - ref) <= _erfcx_bar(x) * ref)
+
+
+def test_gaussian_cdf_absolute_accuracy():
+    # bin masses are differences of the CDF, so its absolute error counts
+    import mpmath
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(20261018)
+    edges = np.sqrt(2.0) * np.array(_ERFCX_EDGES[:4])
+    t = np.concatenate([rng.uniform(-40.0, 40.0, 400), edges, [0.0]])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.ncdf(v)) for v in map(mpmath.mpf, t)])
+    got = kernels.gaussian_cdf(t, 1.0)
+    assert np.max(np.abs(got - ref)) <= 5e-16
+    assert np.max(np.abs(got - ndtr(t))) <= 5e-16

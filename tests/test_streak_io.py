@@ -28,6 +28,25 @@ def test_roundtrip_identical(tmp_path):
     assert back.metadata["note"] == "unit test"
 
 
+def test_counts_copied_at_most_once():
+    import tracemalloc
+
+    wl, t = 300.0 + np.arange(100.0), np.arange(200.0)
+    counts = np.ones((200, 100), dtype=np.int64)
+    assert StreakImage(counts, wl, t, exposure=1).counts is counts
+    floats = counts.astype(float)
+    tracemalloc.start()
+    try:
+        img = StreakImage(floats, wl, t, exposure=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.counts.dtype == np.int64
+    assert np.array_equal(img.counts, counts)
+    # the integrality check's temporaries and one int64 conversion, not two
+    assert peak < 1.5 * floats.nbytes
+
+
 def test_write_deterministic_bytes(tmp_path):
     img = _image()
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
