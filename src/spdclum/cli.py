@@ -1,14 +1,19 @@
 """Command line front end.
 
-Subcommands: synth, analyze, fit, herald, scenario.  Global flags work
-before or after the subcommand: --config PATH, --seed N, --out DIR,
---format {csv,pretty}, --set key=value (repeatable).  Flags override
-environment variables (prefix SPDCLUM_), which override the config file.
+Subcommands: synth, analyze, fit, herald, scenario; each subparser carries
+its cmd_* function, called as cmd(cfg, args).  Global flags work before or
+after the subcommand: --config PATH, --seed N, --out DIR, --format
+{csv,pretty}, --set key=value (repeatable).  A named flag stores under the
+config key it sets, so --seed is the seed key; named flags beat --set, which
+beats environment variables (prefix SPDCLUM_), which beat the config file.
+--ps/--pl are the exception: probabilities become rates only once the
+window is resolved.
 
-Every run that writes files also writes resolved.cfg next to them; rerunning
-with --config resolved.cfg reproduces the outputs byte for byte.  Exit
-codes: 0 success, 2 configuration or usage error, 3 input parse error,
-4 numerical failure, 5 degenerate (flagged) result.
+Every result table goes through one writer: to out.dir next to
+resolved.cfg, and to stdout in csv mode.  Rerunning with --config
+resolved.cfg reproduces the outputs byte for byte.  Exit codes: 0 success,
+2 configuration or usage error, 3 input parse error, 4 numerical failure,
+5 degenerate (flagged) result.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ import os
 import sys
 
 from . import analysis, herald
-from .config import ConfigError, RunConfig, resolve_config
+from .config import REGISTRY, ConfigError, RunConfig, resolve_config
 from .emission import WavelengthGrid
 from .filters import repetition_rate_alert, run_scenarios
-from .fitting import DecayFit, fit_multiexp
+from .fitting import fit_multiexp
 from .streak import (RegionOfInterest, StreakParseError, read_streak_csv,
                      read_trace_csv, write_streak_csv, write_trace_csv)
 from .synth import synthesize, time_grid
@@ -58,21 +63,6 @@ def _fmt_g(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _csv_to_stdout(header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
 def _prepare_out(cfg: RunConfig) -> str | None:
     out_dir = cfg.get("out.dir")
     if out_dir is None:
@@ -84,10 +74,29 @@ def _prepare_out(cfg: RunConfig) -> str | None:
     return out_dir
 
 
+def _write_result(cfg: RunConfig, name: str, header, rows) -> bool:
+    """Write the result table to out.dir/<name> (with resolved.cfg) and, in
+    csv mode, the same text to stdout; True when the pretty report is due."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    text = buf.getvalue()
+    out_dir = _prepare_out(cfg)
+    if out_dir is not None:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(text)
+    if cfg.get("out.format") == "csv":
+        sys.stdout.write(text)
+        return False
+    return True
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     out_dir = _prepare_out(cfg)
     if out_dir is None:
         raise ConfigError("synth writes an image file: set --out DIR "
@@ -133,8 +142,8 @@ def _roi_from_key(cfg: RunConfig, key: str, label: str):
                             label=label)
 
 
-def cmd_analyze(cfg: RunConfig, image_path: str) -> int:
-    image = read_streak_csv(image_path)
+def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
+    image = read_streak_csv(args.image)
     spdc_roi = _roi_from_key(cfg, "analyze.spdc_roi", "spdc")
     lum_roi = _roi_from_key(cfg, "analyze.lum_roi", "luminescence")
     if spdc_roi is None or lum_roi is None:
@@ -155,13 +164,7 @@ def cmd_analyze(cfg: RunConfig, image_path: str) -> int:
            *summary.lum_roi.wavelength_nm, *summary.lum_roi.time_ns,
            summary.overlap_mode, summary.lum_under_spdc,
            ";".join(summary.flags)]
-    out_dir = _prepare_out(cfg)
-    if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "counts.csv"), header,
-                   [[_fmt(v) for v in row]])
-    if cfg.get("out.format") == "csv":
-        _csv_to_stdout(header, [[_fmt(v) for v in row]])
-    else:
+    if _write_result(cfg, "counts.csv", header, [row]):
         print(f"SPDC ROI   {summary.spdc_roi.wavelength_nm[0]:.6g}-"
               f"{summary.spdc_roi.wavelength_nm[1]:.6g} nm, "
               f"{summary.spdc_roi.time_ns[0]:.6g}-"
@@ -201,17 +204,8 @@ def _load_fit_input(cfg: RunConfig, path: str):
     return times, values
 
 
-def _fit_report_rows(fit: DecayFit):
-    rows = []
-    for i, comp in enumerate(fit.components, start=1):
-        rows.append([f"component_{i}", comp.amplitude,
-                     comp.amplitude_rel_sigma, comp.lifetime_ns,
-                     comp.lifetime_rel_sigma])
-    return rows
-
-
-def cmd_fit(cfg: RunConfig, input_path: str) -> int:
-    times, counts = _load_fit_input(cfg, input_path)
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    times, counts = _load_fit_input(cfg, args.input)
     fit = fit_multiexp(
         times, counts, cfg.get("fit.n_components"),
         irf_fwhm_ns=cfg.get("fit.irf_fwhm_ns"),
@@ -220,21 +214,20 @@ def cmd_fit(cfg: RunConfig, input_path: str) -> int:
 
     header = ["term", "value", "value_rel_sigma", "lifetime_ns",
               "lifetime_rel_sigma"]
-    rows = _fit_report_rows(fit)
+    rows = [[f"component_{i}", comp.amplitude, comp.amplitude_rel_sigma,
+             comp.lifetime_ns, comp.lifetime_rel_sigma]
+            for i, comp in enumerate(fit.components, start=1)]
     rows.append(["baseline", fit.baseline, fit.baseline_rel_sigma,
                  None, None])
     rows.append(["t0_ns", fit.t0_ns, None, None, None])
     rows.append(["reduced_chi_square", fit.reduced_chi_square,
                  None, None, None])
-    out_dir = _prepare_out(cfg)
+    pretty = _write_result(cfg, "fit.csv", header, rows)
+    out_dir = cfg.get("out.dir")
     if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "fit.csv"), header,
-                   [[_fmt(v) for v in row] for row in rows])
         write_trace_csv(os.path.join(out_dir, "residuals.csv"), times,
                         fit.residual_trace, value_column="residual")
-    if cfg.get("out.format") == "csv":
-        _csv_to_stdout(header, [[_fmt(v) for v in row] for row in rows])
-    else:
+    if pretty:
         for i, comp in enumerate(fit.components, start=1):
             print(f"component {i}: lifetime {_fmt_g(comp.lifetime_ns)} ns "
                   f"(rel sigma {_fmt_g(comp.lifetime_rel_sigma)}), "
@@ -252,7 +245,7 @@ def cmd_fit(cfg: RunConfig, input_path: str) -> int:
     return EXIT_FLAGGED if fit.flags else EXIT_OK
 
 
-def cmd_herald(cfg: RunConfig) -> int:
+def cmd_herald(cfg: RunConfig, args: argparse.Namespace) -> int:
     params = cfg.build_herald()
     outcome = herald.outcome_probabilities(params.p_s, params.p_l,
                                            params.p_l_signal)
@@ -272,13 +265,8 @@ def cmd_herald(cfg: RunConfig) -> int:
     row = [params.p_s, params.p_l, outcome.p0, outcome.p1, outcome.p2,
            outcome.n_herald, outcome.fidelity, f_approx,
            mc.fidelity_hat if mc else None, mc.fidelity_se if mc else None]
-    out_dir = _prepare_out(cfg)
-    if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "herald.csv"), header,
-                   [[_fmt(v) for v in row]])
-    if cfg.get("out.format") == "csv":
-        _csv_to_stdout(header, [[_fmt(v) for v in row]])
-    else:
+    pretty = _write_result(cfg, "herald.csv", header, [row])
+    if pretty:
         print(f"P_S        {_fmt_g(params.p_s)}")
         print(f"P_L        {_fmt_g(params.p_l)}")
         if params.lum_rate_signal_hz is not None:
@@ -304,7 +292,7 @@ def cmd_herald(cfg: RunConfig) -> int:
     if ref_snr is not None:
         est = herald.fidelity_from_snr(ref_snr, params.window_ns,
                                        params.spdc_rate_hz)
-        if cfg.get("out.format") != "csv":
+        if pretty:
             print(f"from measured SNR {_fmt_g(ref_snr)}: F_exact "
                   f"{_fmt_g(est.f_exact)}, F_approx {_fmt_g(est.f_approx)}")
         if est.flagged:
@@ -314,7 +302,7 @@ def cmd_herald(cfg: RunConfig) -> int:
     return exit_code
 
 
-def cmd_scenario(cfg: RunConfig) -> int:
+def cmd_scenario(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = cfg.build_model()
     chain = cfg.build_chain()
     specs = cfg.build_scenarios()
@@ -326,13 +314,7 @@ def cmd_scenario(cfg: RunConfig) -> int:
     rows = [[r.label, r.c_spdc, r.c_lum, r.snr, r.f_exact, r.f_approx,
              r.reference_snr, ";".join(r.flags), ";".join(r.notes)]
             for r in results]
-    out_dir = _prepare_out(cfg)
-    if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "scenarios.csv"), header,
-                   [[_fmt(v) for v in row] for row in rows])
-    if cfg.get("out.format") == "csv":
-        _csv_to_stdout(header, [[_fmt(v) for v in row] for row in rows])
-    else:
+    if _write_result(cfg, "scenarios.csv", header, rows):
         width = max([len(r.label) for r in results] + [5])
         print(f"{'label':<{width}} {'C_S':>12} {'C_L':>12} {'SNR':>10} "
               f"{'F':>8} {'F~':>8}")
@@ -353,19 +335,25 @@ def cmd_scenario(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 # argument plumbing
 
+def _flag(parser, name, key, text, **kwargs) -> None:
+    """A named flag stored under config key `key`.  Its metavar stays the
+    flag's own name (or its choices), never the dotted key."""
+    if "choices" not in kwargs:
+        kwargs.setdefault("metavar", name[2:].replace("-", "_").upper())
+    parser.add_argument(name, dest=key, default=argparse.SUPPRESS, help=text,
+                        **kwargs)
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps unset flags out of the namespace so a flag before the
     # subcommand is not clobbered by the subparser's default
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="configuration file (key = value lines)")
-    common.add_argument("--seed", default=argparse.SUPPRESS,
-                        help="random seed (config key: seed)")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output directory (config key: out.dir)")
-    common.add_argument("--format", choices=("csv", "pretty"),
-                        default=argparse.SUPPRESS,
-                        help="stdout format (config key: out.format)")
+    _flag(common, "--seed", "seed", "random seed (config key: seed)")
+    _flag(common, "--out", "out.dir", "output directory (config key: out.dir)")
+    _flag(common, "--format", "out.format",
+          "stdout format (config key: out.format)", choices=("csv", "pretty"))
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         default=argparse.SUPPRESS, dest="set_overrides",
                         help="override any config key (repeatable)")
@@ -380,78 +368,56 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="synthesize a streak image")
-    p.add_argument("--exposure", default=argparse.SUPPRESS,
-                   help="pump pulses to accumulate (synth.exposure)")
-    p.add_argument("--spdc-rate", default=argparse.SUPPRESS,
-                   help="SPDC pair rate, Hz (spdc_rate_hz)")
-    p.add_argument("--lum-rate", default=argparse.SUPPRESS,
-                   help="luminescence rate, Hz (lum_rate_hz)")
+    def command(name, run, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="separate SPDC and luminescence counts")
+    p = command("synth", cmd_synth, "synthesize a streak image")
+    _flag(p, "--exposure", "synth.exposure",
+          "pump pulses to accumulate (synth.exposure)")
+    _flag(p, "--spdc-rate", "spdc_rate_hz",
+          "SPDC pair rate, Hz (spdc_rate_hz)")
+    _flag(p, "--lum-rate", "lum_rate_hz",
+          "luminescence rate, Hz (lum_rate_hz)")
+
+    p = command("analyze", cmd_analyze,
+                "separate SPDC and luminescence counts")
     p.add_argument("image", help="streak CSV file")
-    p.add_argument("--overlap-mode", choices=("none", "model-subtract"),
-                   default=argparse.SUPPRESS,
-                   help="luminescence-under-SPDC handling "
-                        "(analyze.overlap_mode)")
+    _flag(p, "--overlap-mode", "analyze.overlap_mode",
+          "luminescence-under-SPDC handling (analyze.overlap_mode)",
+          choices=("none", "model-subtract"))
 
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit a multi-exponential decay")
+    p = command("fit", cmd_fit, "fit a multi-exponential decay")
     p.add_argument("input", help="trace CSV or streak CSV file")
-    p.add_argument("--components", default=argparse.SUPPRESS,
-                   help="number of decay components (fit.n_components)")
-    p.add_argument("--irf", default=argparse.SUPPRESS,
-                   help="IRF FWHM in ns (fit.irf_fwhm_ns)")
-    p.add_argument("--baseline", choices=("free", "zero"),
-                   default=argparse.SUPPRESS,
-                   help="baseline handling (fit.baseline_mode)")
-    p.add_argument("--band", default=argparse.SUPPRESS,
-                   help="wavelength band lo,hi for image input (fit.band_nm)")
+    _flag(p, "--components", "fit.n_components",
+          "number of decay components (fit.n_components)")
+    _flag(p, "--irf", "fit.irf_fwhm_ns", "IRF FWHM in ns (fit.irf_fwhm_ns)")
+    _flag(p, "--baseline", "fit.baseline_mode",
+          "baseline handling (fit.baseline_mode)", choices=("free", "zero"))
+    _flag(p, "--band", "fit.band_nm",
+          "wavelength band lo,hi for image input (fit.band_nm)")
 
-    p = sub.add_parser("herald", parents=[common],
-                       help="heralded-state probabilities and fidelity")
-    p.add_argument("--rs", default=argparse.SUPPRESS,
-                   help="SPDC rate, Hz (herald.spdc_rate_hz)")
-    p.add_argument("--rl", default=argparse.SUPPRESS,
-                   help="luminescence rate, Hz (herald.lum_rate_hz)")
-    p.add_argument("--tw", default=argparse.SUPPRESS,
-                   help="detection window, ns (herald.window_ns)")
-    p.add_argument("--ps", default=argparse.SUPPRESS,
-                   help="pair probability per window (sets the rate "
-                        "from the window)")
-    p.add_argument("--pl", default=argparse.SUPPRESS,
-                   help="luminescence probability per window")
-    p.add_argument("--snr", default=argparse.SUPPRESS,
-                   help="measured SNR to convert to fidelity (herald.snr)")
-    p.add_argument("--monte-carlo", default=argparse.SUPPRESS,
-                   metavar="N", help="validate with N simulated windows "
-                                     "(herald.n_windows)")
+    p = command("herald", cmd_herald,
+                "heralded-state probabilities and fidelity")
+    _flag(p, "--rs", "herald.spdc_rate_hz",
+          "SPDC rate, Hz (herald.spdc_rate_hz)")
+    _flag(p, "--rl", "herald.lum_rate_hz",
+          "luminescence rate, Hz (herald.lum_rate_hz)")
+    _flag(p, "--tw", "herald.window_ns",
+          "detection window, ns (herald.window_ns)")
+    # probabilities need the resolved window to become rates (_resolve)
+    _flag(p, "--ps", "ps",
+          "pair probability per window (sets the rate from the window)")
+    _flag(p, "--pl", "pl", "luminescence probability per window")
+    _flag(p, "--snr", "herald.snr",
+          "measured SNR to convert to fidelity (herald.snr)")
+    _flag(p, "--monte-carlo", "herald.n_windows",
+          "validate with N simulated windows (herald.n_windows)", metavar="N")
 
-    sub.add_parser("scenario", parents=[common],
-                   help="filter scenarios: counts, SNR, fidelity table")
+    command("scenario", cmd_scenario,
+            "filter scenarios: counts, SNR, fidelity table")
     return parser
-
-
-_FLAG_KEYS = (
-    ("seed", "seed"),
-    ("out", "out.dir"),
-    ("format", "out.format"),
-    ("exposure", "synth.exposure"),
-    ("spdc_rate", "spdc_rate_hz"),
-    ("lum_rate", "lum_rate_hz"),
-    ("overlap_mode", "analyze.overlap_mode"),
-    ("components", "fit.n_components"),
-    ("irf", "fit.irf_fwhm_ns"),
-    ("baseline", "fit.baseline_mode"),
-    ("band", "fit.band_nm"),
-    ("rs", "herald.spdc_rate_hz"),
-    ("rl", "herald.lum_rate_hz"),
-    ("tw", "herald.window_ns"),
-    ("snr", "herald.snr"),
-    ("monte_carlo", "herald.n_windows"),
-)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -461,9 +427,10 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {entry!r}")
         overrides[key.strip()] = value.strip()
-    for attr, key in _FLAG_KEYS:
-        if hasattr(args, attr):
-            overrides[key] = str(getattr(args, attr))
+    # named flags store under their config keys and beat --set
+    for key, value in vars(args).items():
+        if key in REGISTRY:
+            overrides[key] = str(value)
     return overrides
 
 
@@ -488,22 +455,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, args.image)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.input)
-        if args.command == "herald":
-            return cmd_herald(cfg)
-        return cmd_scenario(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.run(_resolve(args), args)
     except StreakParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -515,9 +469,5 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -190,19 +190,24 @@ REGISTRY: dict[str, KeySpec] = {
     "scenario.baseline_c_lum": _k("float", 1.343e10, optional=True),
 }
 
-# Numbered groups: filter.N.* and scenario.N.*. Per kind: required and
-# optional member keys (with defaults).
+# Numbered groups: filter.N.* and scenario.N.*, as member keys in
+# serialization order.  A member that is neither optional nor defaulted is
+# required.  Per filter kind: its class and members.
 _FILTER_KINDS = {
-    "polarizer": ({}, {"axis": _k("str", "aligned_to_spdc",
-                                  choices=("aligned_to_spdc", "orthogonal"))}),
-    "longpass": ({"cutoff_nm": _k("float", None)},
-                 {"transmission": _k("float", 0.95)}),
-    "bandpass": ({"center_nm": _k("float", None),
-                  "fwhm_nm": _k("float", None)},
-                 {"peak_transmission": _k("float", 0.95)}),
-    "temporal_gate": ({"window_ns": _k("float", None),
-                       "repetition_rate_hz": _k("float", None)},
-                      {"latency_ns": _k("float", 0.0)}),
+    "polarizer": (Polarizer, {
+        "axis": _k("str", "aligned_to_spdc",
+                   choices=("aligned_to_spdc", "orthogonal"))}),
+    "longpass": (LongpassFilter, {
+        "cutoff_nm": _k("float", None),
+        "transmission": _k("float", 0.95)}),
+    "bandpass": (BandpassFilter, {
+        "center_nm": _k("float", None),
+        "fwhm_nm": _k("float", None),
+        "peak_transmission": _k("float", 0.95)}),
+    "temporal_gate": (TemporalGate, {
+        "window_ns": _k("float", None),
+        "repetition_rate_hz": _k("float", None),
+        "latency_ns": _k("float", 0.0)}),
 }
 
 _SCENARIO_MEMBERS = {
@@ -288,16 +293,9 @@ class RunConfig:
         filters = []
         for index in self.group_indices("filter"):
             members = self.group("filter", index)
-            kind = members.pop("kind")
+            cls = _FILTER_KINDS[members.pop("kind")][0]
             try:
-                if kind == "polarizer":
-                    filters.append(Polarizer(**members))
-                elif kind == "longpass":
-                    filters.append(LongpassFilter(**members))
-                elif kind == "bandpass":
-                    filters.append(BandpassFilter(**members))
-                else:
-                    filters.append(TemporalGate(**members))
+                filters.append(cls(**members))
             except ValueError as exc:
                 raise ConfigError(f"filter.{index}: {exc}") from exc
         try:
@@ -437,40 +435,24 @@ def resolve_config(path: str | None = None, *,
 
 
 def _parse_group(family: str, index: int, members: dict[str, str]) -> dict:
+    prefix = f"{family}.{index}"
     if family == "scenario":
-        parsed = {}
-        for member, spec in _SCENARIO_MEMBERS.items():
-            key = f"scenario.{index}.{member}"
-            if member in members:
-                parsed[member] = spec.parse(key, members[member])
-            else:
-                parsed[member] = spec.default
-        for member in members:
-            if member not in _SCENARIO_MEMBERS:
-                raise ConfigError(f"unknown key: scenario.{index}.{member}")
-        return parsed
-
-    if "kind" not in members:
-        raise ConfigError(
-            f"filter.{index}: missing filter.{index}.kind")
-    kind = _FILTER_KIND_SPEC.parse(f"filter.{index}.kind", members["kind"])
-    required, optional = _FILTER_KINDS[kind]
-    parsed = {"kind": kind}
-    for member, spec in required.items():
-        key = f"filter.{index}.{member}"
-        if member not in members:
-            raise ConfigError(f"{key} is required for kind {kind}")
-        parsed[member] = spec.parse(key, members[member])
-    for member, spec in optional.items():
-        key = f"filter.{index}.{member}"
+        specs, parsed, unknown = _SCENARIO_MEMBERS, {}, ""
+    else:
+        if "kind" not in members:
+            raise ConfigError(f"{prefix}: missing {prefix}.kind")
+        kind = _FILTER_KIND_SPEC.parse(f"{prefix}.kind", members["kind"])
+        specs = _FILTER_KINDS[kind][1]
+        parsed, unknown = {"kind": kind}, f" (not a member of kind {kind})"
+    for member, spec in specs.items():
+        key = f"{prefix}.{member}"
         if member in members:
             parsed[member] = spec.parse(key, members[member])
+        elif spec.default is None and not spec.optional:
+            raise ConfigError(f"{key} is required for kind {parsed['kind']}")
         else:
             parsed[member] = spec.default
     for member in members:
-        if member != "kind" and member not in required and \
-                member not in optional:
-            raise ConfigError(
-                f"unknown key: filter.{index}.{member} "
-                f"(not a member of kind {kind})")
+        if member not in parsed:
+            raise ConfigError(f"unknown key: {prefix}.{member}{unknown}")
     return parsed

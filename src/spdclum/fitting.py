@@ -296,11 +296,10 @@ class DecayDesign:
     def jacobian(self, theta):
         baseline, t0, amps, taus, fwhm = self._split(theta)
         sigma = self._sigma(fwhm)
-        # F and its partials in t, tau and sigma, one kernel evaluation per
-        # component; d/dt0 of F(t - t0) is -dF/dt
-        f, d_t, d_tau, d_sigma = zip(*(
-            kernels.exp_conv_gauss_cdf_grad(self.edges - t0, tau, sigma)
-            for tau in taus))
+        # F and its partials in t, tau and sigma, a row per component from
+        # one kernel evaluation; d/dt0 of F(t - t0) is -dF/dt
+        f, d_t, d_tau, d_sigma = kernels.exp_conv_gauss_cdf_grad(
+            self.edges - t0, taus, sigma)
         cols = []
         if self.baseline_mode == "free":
             cols.append(np.ones_like(self.t))
@@ -469,7 +468,11 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
         t0_sigma = float(sigmas[i])
         i += 1
     amp_sig = sigmas[i:i + design.n]
-    tau_sig = sigmas[i + design.n:i + 2 * design.n]
+    # the curvature says nothing one-sided: a lifetime on its bound is not
+    # determined, like a baseline on its zero bound
+    at_bound = ((taus >= design.tau_hi * (1.0 - _BOUND_REL))
+                | (taus <= design.tau_lo * (1.0 + _BOUND_REL)))
+    tau_sig = np.where(at_bound, np.inf, sigmas[i + design.n:i + 2 * design.n])
 
     components = tuple(
         FitComponent(float(amps[k]), float(taus[k]),
@@ -478,11 +481,8 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
     taus_sorted = [c.lifetime_ns for c in components]
     if any(b < _DEGENERATE_RATIO * a for a, b in zip(taus_sorted, taus_sorted[1:])):
         flags.append("ill-conditioned")
-    for tau in taus_sorted:
-        if (tau >= design.tau_hi * (1.0 - _BOUND_REL)
-                or tau <= design.tau_lo * (1.0 + _BOUND_REL)):
-            flags.append("at-bound")
-            break
+    if np.any(at_bound):
+        flags.append("at-bound")
 
     residual = design.y - design.model(res.x)
     # dedupe flags, preserving order

@@ -170,19 +170,21 @@ def exp_conv_gauss_cdf(t, tau, sigma: float):
     return restore(col * (phi - kern))
 
 
-def exp_conv_gauss_cdf_grad(t, tau: float, sigma: float):
+def exp_conv_gauss_cdf_grad(t, tau, sigma: float):
     """F = exp_conv_gauss_cdf and its partial derivatives, from one kernel
     evaluation.
 
     Returns (F, dF/dt, dF/dtau, dF/dsigma); dF/dt is the kernel itself.  F
     depends on sigma only through sigma^2, so dF/dsigma is zero at sigma = 0.
+    A 1-d array of lifetimes gives one row per lifetime in each part.
     """
+    tau = np.asarray(tau, dtype=float)[..., None]
     _check_kernel_args(tau, sigma)
     t, restore = _prepare(t)
     if sigma == 0.0:
         kern = _causal_exp(t, tau)
         d_tau = np.where(t > 0.0, 1.0 - kern - (t / tau) * kern, 0.0)
-        parts = (_bare_cdf(t, tau, kern), kern, d_tau, np.zeros_like(t))
+        parts = (_bare_cdf(t, tau, kern), kern, d_tau, np.zeros_like(kern))
     else:
         phi, kern, bump = _emg(t, tau, sigma)
         # F = tau * (phi - kern), so dF/dtau = phi - kern - tau * dkern/dtau

@@ -2,11 +2,14 @@
 
 import os
 import re
+from pathlib import Path
 
 import pytest
 
-from spdclum.cli import main
+from spdclum.cli import _resolve, build_parser, main
 from spdclum.streak import read_streak_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -388,3 +391,77 @@ def test_synth_spectral_sample_limit_exits_2(tmp_path, capsys):
     assert "25600000 samples" in err
     assert f"limit of {MAX_SPECTRAL_SAMPLES}" in err
     assert not (out / "streak.csv").exists()
+
+
+# every named flag: a command line, the config key it stores under, the
+# parsed value, and a different raw value for the same key via --set
+FLAG_KEYS = [
+    (["synth", "--seed", "7"], "seed", 7, "9"),
+    (["synth", "--out", "d"], "out.dir", "d", "elsewhere"),
+    (["synth", "--format", "csv"], "out.format", "csv", "pretty"),
+    (["synth", "--exposure", "1500"], "synth.exposure", 1500, "800"),
+    (["synth", "--spdc-rate", "5e4"], "spdc_rate_hz", 5e4, "1"),
+    (["synth", "--lum-rate", "3e4"], "lum_rate_hz", 3e4, "1"),
+    (["analyze", "i.csv", "--overlap-mode", "model-subtract"],
+     "analyze.overlap_mode", "model-subtract", "none"),
+    (["fit", "i.csv", "--components", "2"], "fit.n_components", 2, "3"),
+    (["fit", "i.csv", "--irf", "0.2"], "fit.irf_fwhm_ns", 0.2, "none"),
+    (["fit", "i.csv", "--baseline", "zero"], "fit.baseline_mode", "zero",
+     "free"),
+    (["fit", "i.csv", "--band", "500,560"], "fit.band_nm", (500.0, 560.0),
+     "1,2"),
+    (["herald", "--rs", "2e5"], "herald.spdc_rate_hz", 2e5, "1"),
+    (["herald", "--rl", "7e4"], "herald.lum_rate_hz", 7e4, "1"),
+    (["herald", "--tw", "5"], "herald.window_ns", 5.0, "1"),
+    (["herald", "--snr", "1.5"], "herald.snr", 1.5, "2"),
+    (["herald", "--monte-carlo", "1000"], "herald.n_windows", 1000, "5"),
+]
+
+
+@pytest.mark.parametrize("argv, key, value, other", FLAG_KEYS,
+                         ids=[argv[-2] for argv, *_ in FLAG_KEYS])
+def test_flag_lands_on_its_config_key(argv, key, value, other):
+    parser = build_parser()
+    assert _resolve(parser.parse_args(argv)).get(key) == value
+    # a named flag beats --set for the same key, on either side of it
+    extra = ["--set", f"{key}={other}"]
+    for line in (argv + extra, argv[:1] + extra + argv[1:]):
+        assert _resolve(parser.parse_args(line)).get(key) == value
+
+
+@pytest.mark.parametrize("command", [[], ["synth"], ["analyze"], ["fit"],
+                                     ["herald"], ["scenario"]],
+                         ids=["spdclum", "synth", "analyze", "fit", "herald",
+                              "scenario"])
+def test_help_shows_no_config_key_as_metavar(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert re.search(r"[A-Z_]+\.[A-Z_]", text) is None
+    # the help still names the key each flag sets
+    for argv, key, _, _ in FLAG_KEYS:
+        if argv[:1] == command:
+            assert key in text
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["analyze", "IMAGE", "--overlap-mode", "model-subtract"], "counts.csv"),
+    (["fit", "IMAGE", "--components", "1", "--irf", "0.15", "--band",
+      "560,700", "--baseline", "zero"], "fit.csv"),
+    (["herald", "--ps", "1e-3", "--pl", "5e-4", "--monte-carlo", "10000"],
+     "herald.csv"),
+    (["scenario", "--config", str(ROOT / "demos" / "table.cfg")],
+     "scenarios.csv"),
+], ids=["analyze", "fit", "herald", "scenario"])
+def test_csv_stdout_equals_written_file(tmp_path, capsys, argv, name):
+    if "IMAGE" in argv:
+        run(capsys, "synth", "--out", str(tmp_path / "img"), "--exposure",
+            "20000")
+        argv = [str(tmp_path / "img" / "streak.csv") if a == "IMAGE" else a
+                for a in argv]
+    out = tmp_path / "d"
+    code, text, _ = run(capsys, *argv, "--format", "csv", "--out", str(out))
+    assert code in (0, 5)
+    assert text.encode("utf-8") == (out / name).read_bytes()
+    assert (out / "resolved.cfg").exists()

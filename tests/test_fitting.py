@@ -502,3 +502,19 @@ def test_merged_overfit_keeps_t0_and_baseline_sigmas():
     assert all(math.isinf(c.amplitude_rel_sigma) for c in fit.components)
     assert 0.0 < fit.baseline_rel_sigma < 0.1
     assert 0.0 < fit.t0_sigma_ns < 0.001
+
+
+def test_lifetime_on_its_bound_reports_inf():
+    # the pair line's prompt peak in the 514-554 nm band pulls one lifetime
+    # onto tau_lo; the curvature there is one-sided, so its sigma reads inf
+    img = synthesize(make_model(), None, time_grid(-2.0, 8.0, 0.05),
+                     exposure=100000, seed=0)
+    t, y = extract_time_trace(img, (514.0, 554.0))
+    for n in (1, 2):
+        fit = fit_multiexp(t, y, n, irf_fwhm_ns=0.15)
+        assert "at-bound" in fit.flags
+        pinned, *rest = fit.components
+        assert pinned.lifetime_ns == pytest.approx(0.05 * 0.05, rel=1e-3)
+        assert math.isinf(pinned.lifetime_rel_sigma)
+        for comp in rest:
+            assert 0.0 < comp.lifetime_rel_sigma < 1.0

@@ -6,6 +6,7 @@ tests.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -152,3 +153,16 @@ def test_no_private_cross_module_imports():
                               for alias in node.names
                               if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_console_script_entry_point(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"spdclum": "spdclum.cli:main"}
+    module, _, name = scripts["spdclum"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry)
+    # the script wrapper exits with what the entry point returns
+    assert entry(["herald", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("p_s,")

@@ -247,3 +247,21 @@ def test_gaussian_cdf_absolute_accuracy():
     got = kernels.gaussian_cdf(t, 1.0)
     assert np.max(np.abs(got - ref)) <= 5e-16
     assert np.max(np.abs(got - ndtr(t))) <= 5e-16
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA_015, 0.4],
+                         ids=["bare", "irf-0.15", "wide"])
+def test_grad_lifetime_axis_rows_match_single_calls(sigma):
+    # a 1-d lifetime array gives one row per lifetime in each part, equal
+    # bit for bit to the single-lifetime call
+    rng = np.random.default_rng(7)
+    ts = np.sort(rng.uniform(-3.0, 12.0, 301))
+    taus = np.array([0.0025, 0.73, 1.9, 40.0])
+    batched = kernels.exp_conv_gauss_cdf_grad(ts, taus, sigma)
+    for k, tau in enumerate(taus):
+        single = kernels.exp_conv_gauss_cdf_grad(ts, tau, sigma)
+        for rows, part in zip(batched, single):
+            assert rows.shape == (taus.size, ts.size)
+            assert np.array_equal(rows[k], part)
+    parts = kernels.exp_conv_gauss_cdf_grad(0.5, taus, sigma)
+    assert all(p.shape == (taus.size,) for p in parts)
