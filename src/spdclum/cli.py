@@ -260,11 +260,16 @@ def cmd_herald(cfg: RunConfig, args: argparse.Namespace) -> int:
         if mc.flags:
             exit_code = EXIT_FLAGGED
 
+    ref_snr = cfg.get("herald.snr")
+    est = None if ref_snr is None else herald.fidelity_from_snr(
+        ref_snr, params.window_ns, params.spdc_rate_hz)
+
     header = ["p_s", "p_l", "p0", "p1", "p2", "n_herald", "f_exact",
-              "f_approx", "f_mc", "f_mc_se"]
+              "f_approx", "f_mc", "f_mc_se", "f_snr_exact", "f_snr_approx"]
     row = [params.p_s, params.p_l, outcome.p0, outcome.p1, outcome.p2,
            outcome.n_herald, outcome.fidelity, f_approx,
-           mc.fidelity_hat if mc else None, mc.fidelity_se if mc else None]
+           mc.fidelity_hat if mc else None, mc.fidelity_se if mc else None,
+           est.f_exact if est else None, est.f_approx if est else None]
     pretty = _write_result(cfg, "herald.csv", header, [row])
     if pretty:
         print(f"P_S        {_fmt_g(params.p_s)}")
@@ -287,18 +292,13 @@ def cmd_herald(cfg: RunConfig, args: argparse.Namespace) -> int:
                 print(f"analytic vs monte carlo: {z:.2f} standard errors")
             for flag in mc.flags:
                 print(f"flag: {flag}")
-
-    ref_snr = cfg.get("herald.snr")
-    if ref_snr is not None:
-        est = herald.fidelity_from_snr(ref_snr, params.window_ns,
-                                       params.spdc_rate_hz)
-        if pretty:
+        if est is not None:
             print(f"from measured SNR {_fmt_g(ref_snr)}: F_exact "
                   f"{_fmt_g(est.f_exact)}, F_approx {_fmt_g(est.f_approx)}")
-        if est.flagged:
-            print("flag: nonpositive fidelity at this SNR",
-                  file=sys.stderr)
-            exit_code = EXIT_FLAGGED
+
+    if est is not None and est.flagged:
+        print("flag: nonpositive fidelity at this SNR", file=sys.stderr)
+        exit_code = EXIT_FLAGGED
     return exit_code
 
 

@@ -217,6 +217,8 @@ class DecayDesign:
         self.y = np.asarray(y, dtype=float)
         if self.t.ndim != 1 or self.t.shape != self.y.shape:
             raise ValueError("time and counts must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.y))):
+            raise ValueError("time and counts must be finite")
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("time axis must be strictly increasing")
         if not 1 <= n_components <= 3:
@@ -244,9 +246,9 @@ class DecayDesign:
             raise ValueError(
                 f"trace too short: {self.t.size} bins for {self.n_params} "
                 "parameters")
-        dt = float(np.median(np.diff(self.t)))
+        self.dt = kernels.median_step(self.t)  # median bin width
         span = float(self.t[-1] - self.t[0])
-        self.tau_lo = 0.05 * dt
+        self.tau_lo = 0.05 * self.dt
         self.tau_hi = 50.0 * span
         self.edges = kernels.edges_from_centers(self.t)
         self.widths = np.diff(self.edges)
@@ -328,7 +330,6 @@ class DecayDesign:
     # -- bounds and starts ------------------------------------------------
     def bounds(self):
         span = self.t[-1] - self.t[0]
-        dt = float(np.median(np.diff(self.t)))
         lo, hi = [], []
         if self.baseline_mode == "free":
             lo.append(0.0)
@@ -341,16 +342,16 @@ class DecayDesign:
         lo.extend([self.tau_lo] * self.n)
         hi.extend([self.tau_hi] * self.n)
         if self.fit_irf:
-            lo.append(dt / 100.0)
+            lo.append(self.dt / 100.0)
             hi.append(span)
         return np.array(lo), np.array(hi)
 
     def start_lifetimes(self) -> list[tuple[float, ...]]:
         """Deterministic log-spaced lifetime combinations over the span."""
         span = self.t[-1] - self.t[0]
-        dt = float(np.median(np.diff(self.t)))
         grid_sizes = {1: 10, 2: 7, 3: 6}
-        g = np.geomspace(max(2.0 * dt, 1e-9), 0.7 * span, grid_sizes[self.n])
+        g = np.geomspace(max(2.0 * self.dt, 1e-9), 0.7 * span,
+                        grid_sizes[self.n])
         return [tuple(c) for c in itertools.combinations(g, self.n)]
 
     def initial_theta(self, taus: Sequence[float]) -> np.ndarray:

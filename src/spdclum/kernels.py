@@ -254,3 +254,14 @@ def edges_from_centers(centers):
     first = centers[0] - (mid[0] - centers[0])
     last = centers[-1] + (centers[-1] - mid[-1])
     return np.concatenate([[first], mid, [last]])
+
+
+def median_step(centers) -> float:
+    """Median spacing of finite grid centers (at least two).
+
+    The middle of the sorted spacings, bit for bit what np.median gives.
+    np.median's NaN check imports numpy.ma, ~15 ms, more than a small fit
+    takes.
+    """
+    d = np.sort(np.diff(np.asarray(centers, dtype=float)))
+    return float(0.5 * (d[(d.size - 1) // 2] + d[d.size // 2]))

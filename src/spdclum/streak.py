@@ -15,6 +15,12 @@ line tool:
 lines are ignored.  The first data row holds the wavelength bin centers, every
 following row starts with its time bin center.  Writing is deterministic:
 identical images serialize to identical bytes.
+
+There is one format, defined by a per-line parser.  The reader parses the
+count block in one NumPy call when every count is plain ASCII digits, as the
+writer produces them; any other block, or one that call rejects, goes through
+the per-line parser, which accepts what int() accepts and names the offending
+line in its error.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+
+from . import kernels
 
 
 class StreakParseError(Exception):
@@ -94,7 +102,7 @@ class StreakImage:
         return int(self.counts.sum())
 
     def time_binwidth(self) -> float:
-        return float(np.median(np.diff(self.time_axis_ns)))
+        return kernels.median_step(self.time_axis_ns)
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,10 @@ def write_streak_csv(image: StreakImage, path) -> None:
     for key in sorted(image.metadata):
         lines.append(f"# {key} = {image.metadata[key]}")
     lines.append(",".join(_format_float(x) for x in image.wavelength_axis_nm))
-    for i, t in enumerate(image.time_axis_ns):
-        row = [_format_float(t)]
-        row.extend(str(int(c)) for c in image.counts[i])
-        lines.append(",".join(row))
+    # %r of a Python float is _format_float, %d of a Python int is str()
+    row = "%r," + ",".join(["%d"] * image.counts.shape[1])
+    lines.extend(row % (t, *c) for t, c in zip(image.time_axis_ns.tolist(),
+                                                image.counts.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -212,25 +220,50 @@ def read_trace_csv(path):
     return np.array(times), np.array(values), metadata
 
 
-def read_streak_csv(path) -> StreakImage:
-    """Parse a streak CSV; malformed content raises StreakParseError with a
-    line number."""
-    metadata: dict[str, str] = {}
-    wavelengths: np.ndarray | None = None
+# every character of a count block as write_streak_csv writes it
+_PLAIN_COUNT_BYTES = b"0123456789,\n"
+
+
+def _parse_count_block(rows, n_wavelengths: int):
+    """(times, counts) of the data rows in one np.loadtxt call, or None.
+
+    Only a block of ASCII-digit counts is taken: np.loadtxt's int64 parse
+    agrees with int() on those, while on other text (NumPy 2.4) it reads
+    non-ASCII characters as digits and can crash.  None sends the rows to
+    _parse_rows, which is then the one judge of the format.
+    """
+    heads, tails = [], []
+    for _, line in rows:
+        head, _, tail = line.partition(",")
+        if not tail:  # np.loadtxt would skip the empty line
+            return None
+        heads.append(head)
+        tails.append(tail)
+    block = "\n".join(tails)
+    if not block.isascii() or block.encode("ascii").translate(
+            None, _PLAIN_COUNT_BYTES):
+        return None
+    try:
+        counts = np.loadtxt(tails, delimiter=",", dtype=np.int64, ndmin=2,
+                            comments=None)
+        times = [float(h) for h in heads]
+    except ValueError:
+        return None
+    if counts.shape != (len(rows), n_wavelengths):
+        return None
+    return times, counts
+
+
+def _parse_rows(rows, n_wavelengths: int):
+    """(times, counts) of the data rows, one line at a time; a malformed
+    row raises StreakParseError with its line number."""
     times: list[float] = []
-    rows: list[list[int]] = []
-    for lineno, line in _data_lines(path, metadata):
+    counts: list[list[int]] = []
+    for lineno, line in rows:
         fields = line.split(",")
-        if wavelengths is None:
-            try:
-                wavelengths = np.array([float(f) for f in fields])
-            except ValueError as exc:
-                raise StreakParseError(f"bad wavelength header: {exc}",
-                                       lineno) from None
-            continue
-        if len(fields) != wavelengths.size + 1:
+        if len(fields) != n_wavelengths + 1:
             raise StreakParseError(
-                f"expected {wavelengths.size + 1} fields, got {len(fields)}",
+                f"expected {n_wavelengths + 1} fields, got {len(fields)}",
                 lineno)
         try:
             times.append(float(fields[0]))
@@ -238,16 +271,35 @@ def read_streak_csv(path) -> StreakImage:
             raise StreakParseError(f"bad time value {fields[0]!r}",
                                    lineno) from None
         try:
-            rows.append([int(f) for f in fields[1:]])
+            counts.append([int(f) for f in fields[1:]])
         except ValueError:
             raise StreakParseError("counts must be integers", lineno) from None
-        if min(rows[-1]) < 0:
+        if min(counts[-1]) < 0:
             raise StreakParseError("counts must be nonnegative", lineno)
-        if max(rows[-1]) > _INT64_MAX:
+        if max(counts[-1]) > _INT64_MAX:
             raise StreakParseError("counts must fit in a 64-bit integer",
                                    lineno)
-    if wavelengths is None or not rows:
+    return times, np.array(counts, dtype=np.int64)
+
+
+def read_streak_csv(path) -> StreakImage:
+    """Parse a streak CSV; malformed content raises StreakParseError with a
+    line number."""
+    metadata: dict[str, str] = {}
+    lines = list(_data_lines(path, metadata))
+    if not lines:
         raise StreakParseError("no image data found")
+    lineno, header = lines[0]
+    try:
+        wavelengths = np.array([float(f) for f in header.split(",")])
+    except ValueError as exc:
+        raise StreakParseError(f"bad wavelength header: {exc}",
+                               lineno) from None
+    rows = lines[1:]
+    if not rows:
+        raise StreakParseError("no image data found")
+    times, counts = (_parse_count_block(rows, wavelengths.size)
+                     or _parse_rows(rows, wavelengths.size))
     exposure = metadata.pop("exposure", None)
     if exposure is None:
         raise StreakParseError("missing '# exposure = N' metadata")
@@ -256,7 +308,7 @@ def read_streak_csv(path) -> StreakImage:
     except ValueError:
         raise StreakParseError(f"bad exposure value {exposure!r}") from None
     try:
-        return StreakImage(np.array(rows, dtype=np.int64), wavelengths,
-                           np.array(times), exposure_n, metadata)
+        return StreakImage(counts, wavelengths, np.array(times), exposure_n,
+                           metadata)
     except ValueError as exc:
         raise StreakParseError(str(exc)) from None

@@ -1,5 +1,7 @@
 """End-to-end command-line runs, in process."""
 
+import csv
+import io
 import os
 import re
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from spdclum.cli import _resolve, build_parser, main
+from spdclum.herald import fidelity_from_snr
 from spdclum.streak import read_streak_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,6 +153,22 @@ def test_herald_csv_row(capsys):
     assert head.split(",")[0] == "p_s"
     values = row.split(",")
     assert float(values[0]) == 1e-3
+
+
+def test_herald_snr_in_csv(tmp_path, capsys):
+    # the measured-SNR fidelity goes into the table; its cells stay empty
+    # without --snr
+    est = fidelity_from_snr(1.657, 10.0, 1e5)
+    code, text, _ = run(capsys, "herald", "--snr", "1.657", "--format", "csv",
+                        "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "herald.csv").read_text() == text
+    row = next(csv.DictReader(io.StringIO(text)))
+    assert float(row["f_snr_exact"]) == est.f_exact
+    assert float(row["f_snr_approx"]) == est.f_approx
+    _, text, _ = run(capsys, "herald", "--format", "csv")
+    row = next(csv.DictReader(io.StringIO(text)))
+    assert row["f_snr_exact"] == row["f_snr_approx"] == ""
 
 
 def test_herald_probability_flags(capsys):

@@ -202,6 +202,20 @@ def test_design_validation():
         DecayDesign(t[::-1], y, 1)
 
 
+@pytest.mark.parametrize("where", ["t", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_inputs_rejected(where, bad):
+    # a NaN time passes the increasing-axis test, since NaN compares false,
+    # and used to come back as a NaN lifetime flagged not-converged
+    t, y = _single_tau_trace()
+    t, y = t.copy(), y.astype(float)
+    {"t": t, "y": y}[where][5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DecayDesign(t, y, 1)
+    with pytest.raises(ValueError, match="finite"):
+        fit_multiexp(t, y, 1)
+
+
 def test_fit_reports_uncertainties():
     t, y = _single_tau_trace()
     fit = fit_multiexp(t, y, 1, irf_fwhm_ns=0.15)

@@ -114,6 +114,24 @@ def test_subcommand_runs_without_scipy(argv, image_path, trace_path,
     assert code in (0, 5)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{image}", "--set", "lum_decay.irf_fwhm_ns=0"],
+    ["fit", "{trace}", "--components", "1"],
+    ["fit", "{image}", "--irf", "0.15", "--band", "560,700"],
+], ids=["analyze-no-irf", "fit", "fit-irf"])
+def test_subcommand_skips_numpy_ma(argv, image_path, trace_path, tmp_path):
+    # np.median's NaN check imports numpy.ma, ~15 ms of a fresh fit; without
+    # an IRF, analyze sizes the SPDC gate from the median time bin
+    argv = [a.format(image=image_path, trace=trace_path) for a in argv]
+    code = ("import sys\n"
+            "from spdclum.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    exit_code, loaded = _fresh(code, *argv, cwd=tmp_path).split()[-2:]
+    assert exit_code in ("0", "5")
+    assert loaded == "False"
+
+
 def test_package_import_loads_no_scipy(tmp_path):
     loaded = json.loads(_fresh("import json, sys, spdclum, spdclum.cli\n"
                                "print(json.dumps([m for m in sys.modules "
