@@ -36,7 +36,7 @@ from .herald import (FidelityEstimate, HeraldOutcome, HeraldParams,
 from .streak import (RegionOfInterest, StreakImage, StreakParseError,
                      read_streak_csv, read_trace_csv, write_streak_csv,
                      write_trace_csv)
-from .synth import expected_counts, expected_intensity, synthesize, time_grid
+from .synth import expected_counts, synthesize, time_grid
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,7 @@ __all__ = [
     "ScenarioSpec", "SpectralProfile", "StreakImage", "StreakParseError",
     "TemporalGate", "WavelengthGrid", "band_mass",
     "decay_independence_report", "default_rois", "expected_counts",
-    "expected_intensity", "extract_spectrum", "extract_time_trace",
+    "extract_spectrum", "extract_time_trace",
     "fidelity_from_snr", "fit_multiexp", "luminescence_decay_intensity",
     "luminescence_spectral_density", "make_model", "monte_carlo_herald",
     "normalize_spectrum", "outcome_probabilities", "pair_probability",

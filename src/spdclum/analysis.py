@@ -48,7 +48,8 @@ def default_rois(model: EmissionModel, image: StreakImage, *,
 
     SPDC: spectral center +- 2 line FWHM crossed with t0 +- 3 IRF FWHM.
     Luminescence: the full wavelength span at times after the SPDC gate.
-    Both are clamped to the image axes and guaranteed disjoint in time.
+    Both are clamped to the image axes and guaranteed disjoint in time.  An
+    image that misses the SPDC window, or ends inside it, is a domain error.
     """
     if t0 is None:
         t0 = float(image.metadata.get("pulse_arrival_ns", 0.0))
@@ -57,14 +58,15 @@ def default_rois(model: EmissionModel, image: StreakImage, *,
     half_w = 2.0 * model.spdc_spectrum.fwhm_nm
     irf = model.lum_decay.irf_fwhm_ns
     half_t = 3.0 * irf if irf > 0 else 0.5 * image.time_binwidth()
-    spdc = RegionOfInterest(
-        (max(c - half_w, wl[0]), min(c + half_w, wl[-1])),
-        (max(t0 - half_t, t[0]), min(t0 + half_t, t[-1])),
-        label="spdc")
-    after = t[t > spdc.time_ns[1]]
-    if after.size == 0:
-        raise ValueError("no time bins remain after the SPDC gate for a "
-                         "luminescence region")
+    w_lo, w_hi, t_lo, t_hi = c - half_w, c + half_w, t0 - half_t, t0 + half_t
+    if w_hi < wl[0] or w_lo > wl[-1] or not t[0] <= t_hi < t[-1]:
+        raise ValueError(
+            f"image span {wl[0]:g}..{wl[-1]:g} nm x {t[0]:g}..{t[-1]:g} ns "
+            f"must overlap the SPDC window {w_lo:g}..{w_hi:g} nm x "
+            f"{t_lo:g}..{t_hi:g} ns and extend past it in time")
+    spdc = RegionOfInterest((max(w_lo, wl[0]), min(w_hi, wl[-1])),
+                            (max(t_lo, t[0]), t_hi), label="spdc")
+    after = t[t > t_hi]
     lum = RegionOfInterest((wl[0], wl[-1]), (float(after[0]), float(t[-1])),
                            label="luminescence")
     return spdc, lum

@@ -148,8 +148,12 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     lum_roi = _roi_from_key(cfg, "analyze.lum_roi", "luminescence")
     if spdc_roi is None or lum_roi is None:
         model = cfg.build_model()
-        d_spdc, d_lum = analysis.default_rois(model, image,
-                                              t0=cfg.get("analyze.t0_ns"))
+        try:
+            d_spdc, d_lum = analysis.default_rois(
+                model, image, t0=cfg.get("analyze.t0_ns"))
+        except ValueError as exc:
+            # the image's axes miss the pair line: an input error
+            raise StreakParseError(str(exc)) from None
         spdc_roi = spdc_roi or d_spdc
         lum_roi = lum_roi or d_lum
     summary = analysis.separate_counts(

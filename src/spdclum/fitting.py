@@ -6,8 +6,9 @@ deterministic grid of log-spaced lifetimes gets its amplitudes and baseline
 seeded by nonnegative linear least squares, all from one kernel column per
 lifetime and one Gram matrix; the starts are ranked by that seed's objective
 and only the best one is refined.  Both solvers are NumPy code in this
-module.  Uncertainties come from the quadratic approximation at the optimum,
-scaled by the reduced chi-square.
+module.  The model and its Jacobian share one kernel evaluation per
+parameter point.  Uncertainties come from the quadratic approximation at
+the optimum, scaled by the reduced chi-square.
 
 The model per time bin is the bin average of
 
@@ -252,6 +253,7 @@ class DecayDesign:
         self.tau_hi = 50.0 * span
         self.edges = kernels.edges_from_centers(self.t)
         self.widths = np.diff(self.edges)
+        self._memo = (None, None)  # (key, kernel parts) of the last point
 
     # -- parameter vector bookkeeping ------------------------------------
     def _split(self, theta):
@@ -272,23 +274,26 @@ class DecayDesign:
             fwhm = theta[i + 2 * self.n]
         return baseline, t0, amps, taus, fwhm
 
-    def _sigma(self, fwhm):
-        if fwhm is None:
-            return 0.0
-        return fwhm * kernels.FWHM_TO_SIGMA
-
     def _avg(self, v):
         # bin average of a kernel antiderivative difference; matches how
         # synthetic traces integrate the model over bins, so recovered
         # parameters carry no binning bias
         return (v[..., 1:] - v[..., :-1]) / self.widths
 
+    def _kernel(self, t0, taus, fwhm):
+        """exp_conv_gauss_cdf_grad at the edges, kept for the last exact
+        (t0, taus, sigma): residuals and jacobian at one point share it."""
+        sigma = (fwhm or 0.0) * kernels.FWHM_TO_SIGMA
+        key = np.concatenate(([t0, sigma], taus)).tobytes()
+        if self._memo[0] != key:
+            self._memo = key, kernels.exp_conv_gauss_cdf_grad(
+                self.edges - t0, taus, sigma)
+        return self._memo[1]
+
     def model(self, theta):
         baseline, t0, amps, taus, fwhm = self._split(theta)
-        sigma = self._sigma(fwhm)
         out = np.full_like(self.t, baseline)
-        for a, f in zip(amps, kernels.exp_conv_gauss_cdf(self.edges - t0,
-                                                         taus, sigma)):
+        for a, f in zip(amps, self._kernel(t0, taus, fwhm)[0]):
             out = out + a * self._avg(f)
         return out
 
@@ -297,11 +302,9 @@ class DecayDesign:
 
     def jacobian(self, theta):
         baseline, t0, amps, taus, fwhm = self._split(theta)
-        sigma = self._sigma(fwhm)
-        # F and its partials in t, tau and sigma, a row per component from
-        # one kernel evaluation; d/dt0 of F(t - t0) is -dF/dt
-        f, d_t, d_tau, d_sigma = kernels.exp_conv_gauss_cdf_grad(
-            self.edges - t0, taus, sigma)
+        # F and its partials in t, tau and sigma, a row per component;
+        # d/dt0 of F(t - t0) is -dF/dt
+        f, d_t, d_tau, d_sigma = self._kernel(t0, taus, fwhm)
         cols = []
         if self.baseline_mode == "free":
             cols.append(np.ones_like(self.t))
@@ -368,7 +371,8 @@ class DecayDesign:
                                   return_inverse=True)
         support = support.reshape(len(starts), self.n)
         cols = self._avg(kernels.exp_conv_gauss_cdf(
-            self.edges - self.t0_fixed, taus, self._sigma(self.irf_fwhm_ns)))
+            self.edges - self.t0_fixed, taus,
+            (self.irf_fwhm_ns or 0.0) * kernels.FWHM_TO_SIGMA))
         free = int(self.baseline_mode == "free")  # baseline column last
         a_mat = np.vstack([cols, np.ones((free, self.t.size))]).T
         support = np.hstack([support, np.full((len(starts), free), taus.size)])

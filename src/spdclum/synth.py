@@ -10,8 +10,9 @@ kernel mass in the time bin, D the decay mass (IRF-convolved, pile-up
 corrected and normalized per pulse period), and S the spectral density mass in
 the wavelength bin.  Time masses use the exact closed forms of kernels;
 wavelength masses come from emission.spectral_bin_masses, the sub-sampled
-trapezoid that also gives the filters their band masses.  Shot noise is the
-only noise source: every bin is an independent Poisson draw.
+trapezoid that also gives the filters their band masses.  A term whose rate
+is zero evaluates neither mass.  Shot noise is the only noise source: every
+bin is an independent Poisson draw.
 """
 
 from __future__ import annotations
@@ -38,18 +39,13 @@ def time_grid(min_ns: float, max_ns: float, step_ns: float) -> np.ndarray:
         uniform_bin_count(min_ns, max_ns, step_ns, "time"))
 
 
-def _temporal_masses(model: EmissionModel, t_edges: np.ndarray, t0: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-time-bin masses of the SPDC pulse kernel and the normalized decay."""
-    decay = model.lum_decay
-    sigma = decay.irf_fwhm_ns * kernels.FWHM_TO_SIGMA
-    period = model.pump.period_ns
-    s = t_edges - t0
-    spdc = np.diff(kernels.gaussian_cdf(s, sigma))
-    lum = np.zeros(t_edges.size - 1)
-    for a, tau in decay.components:
-        lum = lum + a * kernels.periodic_decay_mass(s[:-1], s[1:], tau, sigma, period)
-    return spdc, lum / decay.mean_mass_ns
+def _decay_mass(model: EmissionModel, s: np.ndarray, sigma: float):
+    """Per-time-bin mass of the normalized decay between edges s."""
+    lum = np.zeros(s.size - 1)
+    for a, tau in model.lum_decay.components:
+        lum = lum + a * kernels.periodic_decay_mass(s[:-1], s[1:], tau, sigma,
+                                                    model.pump.period_ns)
+    return lum / model.lum_decay.mean_mass_ns
 
 
 def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
@@ -68,16 +64,20 @@ def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
             f"observation window {t_edges[-1] - t_edges[0]:g} ns exceeds the "
             f"pulse period {period:g} ns")
     t_live = exposure / model.pump.repetition_rate_hz
-    spdc_t, lum_t = _temporal_masses(model, t_edges, t0)
+    s = t_edges - t0
+    sigma = model.lum_decay.irf_fwhm_ns * kernels.FWHM_TO_SIGMA
     # t_live * (R_S * outer(spdc) + R_L * outer(lum)) in that operation
-    # order, in place; a term whose rate is zero adds nothing
+    # order, in place; a term whose rate is zero evaluates no mass at all
     out = None
     for rate, mass_t, profile in (
-            (model.spdc_rate_hz, spdc_t, model.spdc_spectrum),
-            (model.lum_rate_hz, lum_t, model.lum_spectrum)):
+            (model.spdc_rate_hz,
+             lambda: np.diff(kernels.gaussian_cdf(s, sigma)),
+             model.spdc_spectrum),
+            (model.lum_rate_hz, lambda: _decay_mass(model, s, sigma),
+             model.lum_spectrum)):
         if rate != 0.0:
-            term = np.outer(mass_t, spectral_bin_masses(profile, model.grid,
-                                                        lam_edges))
+            term = np.outer(mass_t(), spectral_bin_masses(profile, model.grid,
+                                                          lam_edges))
             term *= rate
             if out is None:
                 out = term
@@ -113,17 +113,6 @@ def expected_counts(model: EmissionModel, wavelength_grid=None, time_grid=None,
     t = np.asarray(time_grid, dtype=float)
     return _expected(model, kernels.edges_from_centers(t),
                      kernels.edges_from_centers(lam), exposure, t0)
-
-
-def expected_intensity(model: EmissionModel, wavelength_nm: float, t_ns: float,
-                       *, exposure: int, time_binwidth_ns: float,
-                       wavelength_binwidth_nm: float, t0: float = 0.0) -> float:
-    """Expected counts in one bin centered at (wavelength_nm, t_ns)."""
-    if time_binwidth_ns <= 0.0 or wavelength_binwidth_nm <= 0.0:
-        raise ValueError("bin widths must be positive")
-    t_edges = t_ns + np.array([-0.5, 0.5]) * time_binwidth_ns
-    lam_edges = wavelength_nm + np.array([-0.5, 0.5]) * wavelength_binwidth_nm
-    return float(_expected(model, t_edges, lam_edges, exposure, t0)[0, 0])
 
 
 def synthesize(model: EmissionModel, wavelength_grid=None, time_grid=None, *,

@@ -98,6 +98,24 @@ def test_analyze_parse_error_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("header, rows, span", [
+    # the default pair line is 514..554 nm and the SPDC gate -0.45..0.45 ns
+    ("500.0,501.0", "0.0,1,2\n1.0,3,4\n", "500..501 nm"),
+    ("520.0,530.0,540.0", "-2.0,1,2,3\n-1.0,1,2,3\n0.0,3,4,5\n",
+     "-2..0 ns"),
+], ids=["wavelength", "time"])
+def test_analyze_image_missing_pair_line_exits_3(tmp_path, capsys, header,
+                                                 rows, span):
+    # an image whose axes miss the SPDC window is an input error, and the
+    # message names the image's span and the window it misses
+    image = tmp_path / "x.csv"
+    image.write_text(f"# streak-image/v1\n# exposure = 5\n{header}\n{rows}")
+    code, _, err = run(capsys, "analyze", str(image))
+    assert code == 3
+    assert span in err
+    assert "514..554 nm" in err and "-0.45..0.45 ns" in err
+
+
 def test_fit_trace_roundtrip(tmp_path, capsys):
     # pure single-lifetime luminescence so one component describes the trace
     out = tmp_path / "img"

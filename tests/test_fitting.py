@@ -532,3 +532,74 @@ def test_lifetime_on_its_bound_reports_inf():
         assert math.isinf(pinned.lifetime_rel_sigma)
         for comp in rest:
             assert 0.0 < comp.lifetime_rel_sigma < 1.0
+
+
+@pytest.mark.parametrize("case", ["irf", "bare-2c"])
+def test_one_kernel_evaluation_per_parameter_point(monkeypatch, case):
+    # the solver calls residuals then jacobian at each accepted point, and
+    # the packaging calls jacobian then model at the optimum: each distinct
+    # (t0, taus, sigma) costs one gradient call, the start ranking one CDF
+    from spdclum import kernels
+
+    grad_keys, cdf_calls = [], []
+    real_grad, real_cdf = (kernels.exp_conv_gauss_cdf_grad,
+                           kernels.exp_conv_gauss_cdf)
+
+    def grad(t, tau, sigma):
+        grad_keys.append((np.asarray(t).tobytes(),
+                          np.asarray(tau).tobytes(), float(sigma)))
+        return real_grad(t, tau, sigma)
+
+    def cdf(*args, **kwargs):
+        cdf_calls.append(1)
+        return real_cdf(*args, **kwargs)
+
+    if case == "irf":
+        t, y = _single_tau_trace()
+        args = (t, y, 1, 0.15)
+    else:
+        t, y = _two_tau_trace()
+        tail = t >= 150.0
+        args = (t[tail], y[tail], 2)
+    monkeypatch.setattr(kernels, "exp_conv_gauss_cdf_grad", grad)
+    monkeypatch.setattr(kernels, "exp_conv_gauss_cdf", cdf)
+    fit = fit_multiexp(*args)
+    assert fit.converged
+    assert len(cdf_calls) == 1
+    assert len(grad_keys) >= 2
+    assert len(grad_keys) == len(set(grad_keys))
+
+
+def _memo_cases():
+    t, y = _single_tau_trace()
+    t2, y2 = _two_tau_trace()
+    tail = t2 >= 150.0
+    return {
+        "fit-t0": (lambda: DecayDesign(t, y, 1, irf_fwhm_ns=0.15), (0.5,)),
+        "fit-irf": (lambda: DecayDesign(t, y, 2, irf_fwhm_ns=0.15,
+                                        fit_irf=True), (0.3, 1.0)),
+        "bare": (lambda: DecayDesign(t2[tail], y2[tail], 2),
+                 (1000.0, 8000.0)),
+        "zero-baseline": (lambda: DecayDesign(t, y, 1, irf_fwhm_ns=0.15,
+                                              baseline_mode="zero"), (0.5,)),
+    }
+
+
+@pytest.mark.parametrize("case", ["fit-t0", "fit-irf", "bare",
+                                  "zero-baseline"])
+def test_kernel_memo_never_serves_a_stale_point(case):
+    # interleave model, residuals and jacobian at theta1, at theta1 with one
+    # parameter moved, and at theta1 again: every result must equal a fresh
+    # design's, so the memo key covers t0, every lifetime and the IRF width
+    make, taus = _memo_cases()[case]
+    design = make()
+    theta1 = design.initial_theta(taus)
+    for i in range(theta1.size):
+        theta2 = theta1.copy()
+        theta2[i] = theta1[i] * 1.01 + 1e-3
+        for theta in (theta1, theta2, theta1):
+            for method in ("residuals", "jacobian", "model", "jacobian",
+                           "residuals"):
+                got = getattr(design, method)(theta)
+                want = getattr(make(), method)(theta)
+                assert np.array_equal(got, want), (case, i, method)

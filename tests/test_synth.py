@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spdclum.emission import MAX_AXIS_BINS, WavelengthGrid, make_model
-from spdclum.synth import (MAX_IMAGE_BINS, expected_counts, expected_intensity,
-                           synthesize, time_grid)
+from spdclum.synth import MAX_IMAGE_BINS, expected_counts, synthesize, time_grid
 
 
 def test_time_grid():
@@ -92,6 +91,26 @@ def test_lum_term_off():
     assert mean[:, outside].sum() == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("term", ["spdc", "lum"])
+def test_zero_rate_term_evaluates_no_temporal_kernel(monkeypatch, term):
+    # a term whose rate is zero adds nothing, so its time masses must not
+    # be computed at all; the expected counts stay bit for bit the same
+    from spdclum import kernels
+
+    model = make_model(**{f"{term}_rate_hz": 0.0})
+    grid = time_grid(-2.0, 8.0, 0.05)
+    want = expected_counts(model, None, grid, exposure=1000)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("temporal kernel of a zero-rate term")
+
+    kernel = {"spdc": "gaussian_cdf", "lum": "periodic_decay_mass"}[term]
+    monkeypatch.setattr(kernels, kernel, forbidden)
+    got = expected_counts(model, None, grid, exposure=1000)
+    assert np.array_equal(got, want)
+    assert synthesize(model, None, grid, exposure=1000, seed=2).counts.sum() > 0
+
+
 def test_synthesize_deterministic_and_seed_sensitive():
     model = make_model()
     tg = time_grid(-2.0, 8.0, 0.1)
@@ -139,19 +158,6 @@ def test_window_must_fit_period():
     with pytest.raises(ValueError):
         expected_counts(model, None, time_grid(-1e6, 1e6, 1e4),
                         exposure=10)
-
-
-def test_expected_intensity_single_bin():
-    model = make_model()
-    tg = time_grid(-2.0, 8.0, 0.05)
-    mean = expected_counts(model, None, tg, exposure=1000)
-    lam = model.grid.centers()
-    i = 40
-    j = int(np.where(lam == 534.0)[0][0])
-    one = expected_intensity(model, 534.0, float(tg[i]), exposure=1000,
-                             time_binwidth_ns=0.05,
-                             wavelength_binwidth_nm=1.0)
-    assert one == pytest.approx(mean[i, j], rel=1e-9)
 
 
 def test_binwidth_warning_recorded():
