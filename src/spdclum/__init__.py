@@ -20,14 +20,11 @@ from .analysis import (CountSummary, default_rois, extract_spectrum,
 from .config import ConfigError, RunConfig, resolve_config
 from .emission import (DecayModel, EmissionModel, PumpConfig, SpectralProfile,
                        WavelengthGrid, band_mass, luminescence_decay_intensity,
-                       luminescence_spectral_density, make_model,
-                       retarget_pump, scale_power, spdc_center_wavelength,
-                       spdc_spectral_density, spectral_overlap_fraction)
+                       make_model, retarget_pump, spdc_center_wavelength)
 from .filters import (BandpassFilter, FilterChain, LongpassFilter, Polarizer,
-                      ScanPoint, ScenarioResult, ScenarioSpec, TemporalGate,
-                      pump_wavelength_scan, repetition_rate_alert,
-                      run_scenarios, scenario_fidelity, transmit_luminescence,
-                      transmit_spdc)
+                      ScenarioResult, ScenarioSpec, TemporalGate,
+                      repetition_rate_alert, run_scenarios, scenario_fidelity,
+                      transmit_luminescence, transmit_spdc)
 from .fitting import (DecayFit, FitComponent, IndependenceReport,
                       decay_independence_report, fit_multiexp)
 from .herald import (FidelityEstimate, HeraldOutcome, HeraldParams,
@@ -45,19 +42,16 @@ __all__ = [
     "DecayModel", "EmissionModel", "FidelityEstimate", "FilterChain",
     "FitComponent", "HeraldOutcome", "HeraldParams", "IndependenceReport",
     "LongpassFilter", "MonteCarloHerald", "Polarizer", "PumpConfig",
-    "RegionOfInterest", "RunConfig", "ScanPoint", "ScenarioResult",
-    "ScenarioSpec", "SpectralProfile", "StreakImage", "StreakParseError",
-    "TemporalGate", "WavelengthGrid", "band_mass",
-    "decay_independence_report", "default_rois", "expected_counts",
-    "extract_spectrum", "extract_time_trace",
-    "fidelity_from_snr", "fit_multiexp", "luminescence_decay_intensity",
-    "luminescence_spectral_density", "make_model", "monte_carlo_herald",
+    "RegionOfInterest", "RunConfig", "ScenarioResult", "ScenarioSpec",
+    "SpectralProfile", "StreakImage", "StreakParseError", "TemporalGate",
+    "WavelengthGrid", "band_mass", "decay_independence_report",
+    "default_rois", "expected_counts", "extract_spectrum",
+    "extract_time_trace", "fidelity_from_snr", "fit_multiexp",
+    "luminescence_decay_intensity", "make_model", "monte_carlo_herald",
     "normalize_spectrum", "outcome_probabilities", "pair_probability",
-    "pump_wavelength_scan", "read_streak_csv", "read_trace_csv",
-    "repetition_rate_alert", "resolve_config", "retarget_pump",
-    "roi_integrate", "run_scenarios", "scale_power", "scenario_fidelity",
-    "separate_counts", "spdc_center_wavelength", "spdc_spectral_density",
-    "spectral_overlap_fraction", "synthesize", "time_grid", "trace_fwhm",
-    "transmit_luminescence", "transmit_spdc", "write_streak_csv",
-    "write_trace_csv",
+    "read_streak_csv", "read_trace_csv", "repetition_rate_alert",
+    "resolve_config", "retarget_pump", "roi_integrate", "run_scenarios",
+    "scenario_fidelity", "separate_counts", "spdc_center_wavelength",
+    "synthesize", "time_grid", "trace_fwhm", "transmit_luminescence",
+    "transmit_spdc", "write_streak_csv", "write_trace_csv",
 ]

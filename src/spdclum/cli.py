@@ -12,7 +12,7 @@ window is resolved.
 Every result table goes through one writer: to out.dir next to
 resolved.cfg, and to stdout in csv mode.  Rerunning with --config
 resolved.cfg reproduces the outputs byte for byte.  Exit codes: 0 success,
-2 configuration or usage error, 3 input parse error, 4 numerical failure,
+2 configuration or usage error, 3 input error, 4 numerical failure,
 5 degenerate (flagged) result.
 """
 
@@ -462,15 +462,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(_resolve(args), args)
-    except StreakParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except (StreakParseError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

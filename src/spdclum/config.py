@@ -53,18 +53,21 @@ def _parse_float(key, text):
 
 
 def _parse_int(key, text):
+    """Every integer key is a count or a seed: nonnegative."""
     try:
-        return int(text, 10)
+        value = int(text, 10)
     except ValueError:
-        pass
-    # accept 1e7-style shorthand as long as the value is integral
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {text!r}") from None
-    if not value.is_integer():
-        raise ConfigError(f"{key}: not an integer: {text!r}")
-    return int(value)
+        # accept 1e7-style shorthand as long as the value is integral
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigError(f"{key}: not an integer: {text!r}") from None
+        if not value.is_integer():
+            raise ConfigError(f"{key}: not an integer: {text!r}")
+        value = int(value)
+    if value < 0:
+        raise ConfigError(f"{key}: must be nonnegative, got {value}")
+    return value
 
 
 def _parse_bool(key, text):
@@ -138,7 +141,6 @@ REGISTRY: dict[str, KeySpec] = {
     "pump.wavelength_nm": _k("float", 267.0),
     "pump.power_mw": _k("float", 100.0),
     "pump.repetition_rate_hz": _k("float", 1000.0),
-    "pump.polarization_angle_deg": _k("float", 0.0),
     "spdc_spectrum.fwhm_nm": _k("float", 10.0),
     "lum_spectrum.center_nm": _k("float", 430.0),
     "lum_spectrum.fwhm_nm": _k("float", 60.0),
@@ -149,7 +151,6 @@ REGISTRY: dict[str, KeySpec] = {
     "spdc_rate_hz": _k("float", 1.0e5),
     "lum_rate_hz": _k("float", 6.036e4),
     "spdc_polarized": _k("bool", True),
-    "spdc_power_exponent": _k("float", 1.0),
     "grid.min_nm": _k("float", 300.0),
     "grid.max_nm": _k("float", 700.0),
     "grid.step_nm": _k("float", 1.0),
@@ -272,7 +273,6 @@ class RunConfig:
                 g("pump.wavelength_nm"),
                 pump_power_mw=g("pump.power_mw"),
                 repetition_rate_hz=g("pump.repetition_rate_hz"),
-                pump_polarization_deg=g("pump.polarization_angle_deg"),
                 spdc_fwhm_nm=g("spdc_spectrum.fwhm_nm"),
                 lum_center_nm=g("lum_spectrum.center_nm"),
                 lum_fwhm_nm=g("lum_spectrum.fwhm_nm"),
@@ -283,7 +283,6 @@ class RunConfig:
                 spdc_rate_hz=g("spdc_rate_hz"),
                 lum_rate_hz=g("lum_rate_hz"),
                 spdc_polarized=g("spdc_polarized"),
-                spdc_power_exponent=g("spdc_power_exponent"),
                 grid=grid,
             )
         except ValueError as exc:

@@ -1,10 +1,10 @@
 """Emission model: pump, SPDC line, crystal luminescence spectrum and decay.
 
-The model is deliberately scalar: photon rates per collected mode, normalized
-spectral densities on a fixed wavelength grid, and a multi-exponential decay
-law.  Degenerate type-I phase matching pins the SPDC line at twice the pump
-wavelength; the luminescence spectrum and decay do not depend on the pump
-wavelength at all, only the rate scales with pump power.
+The model is deliberately scalar: photon rates per collected mode, spectral
+shapes normalized on a fixed wavelength grid and integrated per bin, and a
+multi-exponential decay law.  Degenerate type-I phase matching pins the SPDC
+line at twice the pump wavelength; the luminescence spectrum and decay do
+not depend on the pump at all.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ def uniform_bin_count(min_v: float, max_v: float, step: float,
 class PumpConfig:
     """Ultraviolet pump pulse train.
 
-    polarization_angle_deg is bookkeeping only: phase matching on/off is
-    expressed through the SPDC rate, not derived from the angle.
+    Phase matching on/off is expressed through the SPDC rate; the pump
+    polarization is not modeled.
     """
 
     wavelength_nm: float = 267.0
     power_mw: float = 100.0
     repetition_rate_hz: float = 1000.0
-    polarization_angle_deg: float = 0.0
 
     def __post_init__(self):
         lo, hi = PUMP_RANGE_NM
@@ -176,9 +175,10 @@ class DecayModel:
 class EmissionModel:
     """Everything the synthesizer and the filter pipeline need.
 
-    Rates are photons per second per collected mode.  Luminescence
-    polarization is fully mixed (a polarizer passes half of it); SPDC light is
-    linearly polarized unless spdc_polarized is cleared.
+    Rates are photons per second per collected mode, set directly rather
+    than derived from the pump power.  Luminescence polarization is fully
+    mixed (a polarizer passes half of it); SPDC light is linearly polarized
+    unless spdc_polarized is cleared.
     """
 
     pump: PumpConfig = PumpConfig()
@@ -188,7 +188,6 @@ class EmissionModel:
     spdc_rate_hz: float = 1.0e5
     lum_rate_hz: float = 6.036e4
     spdc_polarized: bool = True
-    spdc_power_exponent: float = 1.0
     grid: WavelengthGrid = WavelengthGrid()
 
     def __post_init__(self):
@@ -210,7 +209,6 @@ def make_model(
     *,
     pump_power_mw: float = 100.0,
     repetition_rate_hz: float = 1000.0,
-    pump_polarization_deg: float = 0.0,
     spdc_fwhm_nm: float = 10.0,
     lum_center_nm: float = 430.0,
     lum_fwhm_nm: float = 60.0,
@@ -221,12 +219,10 @@ def make_model(
     spdc_rate_hz: float = 1.0e5,
     lum_rate_hz: float = 6.036e4,
     spdc_polarized: bool = True,
-    spdc_power_exponent: float = 1.0,
     grid: WavelengthGrid | None = None,
 ) -> EmissionModel:
     """Build a consistent EmissionModel; the SPDC line is derived from the pump."""
-    pump = PumpConfig(pump_wavelength_nm, pump_power_mw,
-                      repetition_rate_hz, pump_polarization_deg)
+    pump = PumpConfig(pump_wavelength_nm, pump_power_mw, repetition_rate_hz)
     return EmissionModel(
         pump=pump,
         spdc_spectrum=SpectralProfile("spdc_gaussian",
@@ -237,7 +233,6 @@ def make_model(
         spdc_rate_hz=spdc_rate_hz,
         lum_rate_hz=lum_rate_hz,
         spdc_polarized=spdc_polarized,
-        spdc_power_exponent=spdc_power_exponent,
         grid=grid if grid is not None else WavelengthGrid(),
     )
 
@@ -259,29 +254,6 @@ def _norm_constant(profile: SpectralProfile, grid: WavelengthGrid) -> float:
     return z
 
 
-def spectral_density(profile: SpectralProfile, grid: WavelengthGrid, wavelength_nm):
-    """Normalized density of `profile` on `grid`; zero outside the grid span."""
-    lam = np.asarray(wavelength_nm, dtype=float)
-    z = _norm_constant(profile, grid)
-    vals = profile.shape(lam) / z
-    vals = np.where((lam < grid.min_nm) | (lam > grid.max_nm), 0.0, vals)
-    return float(vals) if vals.shape == () else vals
-
-
-def luminescence_spectral_density(model: EmissionModel, wavelength_nm):
-    """Luminescence density, 1/nm; integrates to 1 over the model grid.
-
-    Depends only on the luminescence profile and the grid, never on pump
-    wavelength or power.
-    """
-    return spectral_density(model.lum_spectrum, model.grid, wavelength_nm)
-
-
-def spdc_spectral_density(model: EmissionModel, wavelength_nm):
-    """SPDC line density, 1/nm; integrates to 1 over the model grid."""
-    return spectral_density(model.spdc_spectrum, model.grid, wavelength_nm)
-
-
 def luminescence_decay_intensity(model: EmissionModel, t_ns):
     """Multi-exponential decay curve, normalized to 1 at t = 0.
 
@@ -296,24 +268,6 @@ def luminescence_decay_intensity(model: EmissionModel, t_ns):
     return float(out) if out.shape == () else out
 
 
-def scale_power(model: EmissionModel, factor: float) -> EmissionModel:
-    """Rescale pump power by `factor`.
-
-    Luminescence responds linearly; the SPDC rate follows
-    factor ** spdc_power_exponent (linear by default).  Spectral shapes and
-    decay are untouched.
-    """
-    if factor <= 0.0:
-        raise ValueError("power scale factor must be positive")
-    pump = dataclasses.replace(model.pump, power_mw=model.pump.power_mw * factor)
-    return dataclasses.replace(
-        model,
-        pump=pump,
-        lum_rate_hz=model.lum_rate_hz * factor,
-        spdc_rate_hz=model.spdc_rate_hz * factor ** model.spdc_power_exponent,
-    )
-
-
 def model_fingerprint(model: EmissionModel) -> str:
     """Canonical flat text of every model parameter.
 
@@ -324,12 +278,10 @@ def model_fingerprint(model: EmissionModel) -> str:
         ("pump.wavelength_nm", model.pump.wavelength_nm),
         ("pump.power_mw", model.pump.power_mw),
         ("pump.repetition_rate_hz", model.pump.repetition_rate_hz),
-        ("pump.polarization_angle_deg", model.pump.polarization_angle_deg),
         ("spdc.center_nm", model.spdc_spectrum.center_nm),
         ("spdc.fwhm_nm", model.spdc_spectrum.fwhm_nm),
         ("spdc.rate_hz", model.spdc_rate_hz),
         ("spdc.polarized", model.spdc_polarized),
-        ("spdc.power_exponent", model.spdc_power_exponent),
         ("lum.center_nm", model.lum_spectrum.center_nm),
         ("lum.fwhm_nm", model.lum_spectrum.fwhm_nm),
         ("lum.skew", model.lum_spectrum.skew),
@@ -381,8 +333,3 @@ def band_mass(profile: SpectralProfile, grid: WavelengthGrid,
     if hi <= lo:
         return 0.0
     return float(spectral_bin_masses(profile, grid, np.array([lo, hi]))[0])
-
-
-def spectral_overlap_fraction(model: EmissionModel, band: tuple[float, float]) -> float:
-    """Fraction of the luminescence spectrum inside an acceptance band."""
-    return band_mass(model.lum_spectrum, model.grid, band)

@@ -12,7 +12,9 @@ different physics:
     with pile-up from previous pulses.
 
 Scenario reports combine baseline counts with chain or measured pass
-fractions into SNR = C_S/C_L and the heralded-state fidelity.
+fractions into SNR = C_S/C_L and the heralded-state fidelity.  Filters see
+the pump only through the model: to follow a pump scan, evaluate the chain
+on emission.retarget_pump(model, wavelength) per point.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .emission import EmissionModel, band_mass, retarget_pump
+from .emission import EmissionModel, band_mass
 from .herald import fidelity_from_snr
 
 POLARIZER_AXES = ("aligned_to_spdc", "orthogonal")
@@ -222,35 +224,31 @@ class RateAlert:
     repetition_rate_hz: float
     period_ns: float
     slowest_lifetime_ns: float
-    min_periods: float
     ok: bool
     message: str
 
 
-def repetition_rate_alert(repetition_rate_hz: float, decay,
-                          min_periods: float = 5.0) -> RateAlert:
-    """Flag repetition rates whose period crowds the slowest decay.
+# period >= this many lifetimes of the slowest component: deliberately
+# stricter than the common rule of thumb of one lifetime per period, because
+# the slow tail dominates gated luminescence leakage
+MIN_PERIODS = 5.0
 
-    The default demands period >= 5 lifetimes of the slowest component,
-    deliberately stricter than the common rule of thumb of one lifetime per
-    period, because the slow tail dominates gated luminescence leakage.
-    """
+
+def repetition_rate_alert(repetition_rate_hz: float, decay) -> RateAlert:
+    """Flag repetition rates whose period crowds the slowest decay."""
     if repetition_rate_hz <= 0.0:
         raise ValueError("repetition rate must be positive")
-    if min_periods <= 0.0:
-        raise ValueError("min_periods must be positive")
     period = 1e9 / repetition_rate_hz
     slowest = max(decay.lifetimes_ns)
-    ok = period >= min_periods * slowest
+    ok = period >= MIN_PERIODS * slowest
     if ok:
         message = (f"period {period:g} ns covers {period / slowest:.2f} "
                    f"lifetimes of the slowest component ({slowest:g} ns)")
     else:
-        message = (f"period {period:g} ns is below {min_periods:g} x slowest "
+        message = (f"period {period:g} ns is below {MIN_PERIODS:g} x slowest "
                    f"lifetime ({slowest:g} ns): previous-pulse pile-up will "
                    f"not have decayed")
-    return RateAlert(repetition_rate_hz, period, slowest, min_periods, ok,
-                     message)
+    return RateAlert(repetition_rate_hz, period, slowest, ok, message)
 
 
 @dataclass(frozen=True)
@@ -369,45 +367,3 @@ def run_scenarios(model: EmissionModel, chain: FilterChain,
                   spdc_rate_hz: float = 1.0e5) -> list[ScenarioResult]:
     return [scenario_fidelity(model, chain, spec, window_ns=window_ns,
                               spdc_rate_hz=spdc_rate_hz) for spec in specs]
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """One pump wavelength in a scan."""
-
-    pump_nm: float
-    spdc_center_nm: float
-    spdc_fraction: float
-    lum_fraction: float
-    snr: float
-    f_exact: float
-    f_approx: float
-    flags: tuple[str, ...] = ()
-
-
-def pump_wavelength_scan(model: EmissionModel, chain: FilterChain,
-                         pump_wavelengths_nm, *, c_spdc: float,
-                         c_lum: float, window_ns: float = 10.0,
-                         spdc_rate_hz: float = 1.0e5) -> list[ScanPoint]:
-    """Recompute chain transmissions and fidelity per pump wavelength.
-
-    The SPDC line follows the pump (degenerate phase matching) while the
-    luminescence shape stays fixed, so spectral filters separate the two
-    better as the lines move apart.  Each point is independent; out-of-range
-    pump wavelengths raise before any point is evaluated.
-    """
-    retargeted = [retarget_pump(model, float(lam))
-                  for lam in pump_wavelengths_nm]
-    points = []
-    for m in retargeted:
-        spec = ScenarioSpec(label=f"pump-{m.pump.wavelength_nm:g}nm",
-                            c_spdc=c_spdc, c_lum=c_lum, use_chain=True)
-        res = scenario_fidelity(m, chain, spec, window_ns=window_ns,
-                                spdc_rate_hz=spdc_rate_hz)
-        points.append(ScanPoint(
-            pump_nm=m.pump.wavelength_nm,
-            spdc_center_nm=m.spdc_spectrum.center_nm,
-            spdc_fraction=res.spdc_fraction, lum_fraction=res.lum_fraction,
-            snr=res.snr, f_exact=res.f_exact, f_approx=res.f_approx,
-            flags=res.flags))
-    return points

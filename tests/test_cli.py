@@ -112,6 +112,7 @@ def test_analyze_image_missing_pair_line_exits_3(tmp_path, capsys, header,
     image.write_text(f"# streak-image/v1\n# exposure = 5\n{header}\n{rows}")
     code, _, err = run(capsys, "analyze", str(image))
     assert code == 3
+    assert err.startswith("input error: ")
     assert span in err
     assert "514..554 nm" in err and "-0.45..0.45 ns" in err
 
@@ -315,6 +316,34 @@ def test_infinite_config_float_exits_2(tmp_path, capsys, argv):
     assert code == 2
     assert argv[-1].split("=")[0] in err
     assert not (out / "streak.csv").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["herald", "--monte-carlo", "-5"], "herald.n_windows"),
+    (["synth", "--seed", "-1"], "seed"),
+], ids=["herald-monte-carlo", "synth-seed"])
+def test_negative_integer_exits_2(tmp_path, capsys, argv, key):
+    # integer keys are counts or seeds: a negative one fails resolution,
+    # naming the key, before resolved.cfg is written
+    out = tmp_path / "o"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert f"{key}: must be nonnegative" in err
+    assert not (out / "resolved.cfg").exists()
+
+
+@pytest.mark.parametrize("key", ["pump.polarization_angle_deg",
+                                 "spdc_power_exponent"])
+def test_removed_model_keys_are_unknown(tmp_path, capsys, key):
+    code, _, err = run(capsys, "herald", "--set", f"{key}=1")
+    assert code == 2
+    assert f"unknown key: {key}" in err
+    # a config file naming the key fails the same way
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 0\n")
+    code, _, err = run(capsys, "herald", "--config", str(cfg))
+    assert code == 2
+    assert f"unknown key: {key}" in err
 
 
 def test_synth_pileup_overflow_exits_2(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from spdclum.config import ENV_PREFIX, ConfigError, resolve_config
+from spdclum.config import ENV_PREFIX, REGISTRY, ConfigError, resolve_config
 from spdclum.filters import BandpassFilter, LongpassFilter, Polarizer, TemporalGate
 
 
@@ -221,3 +221,13 @@ def test_nonfinite_floats_rejected(key, text):
     with pytest.raises(ConfigError) as err:
         resolve_config(overrides={key: text}, environ={})
     assert key in str(err.value)
+
+
+@pytest.mark.parametrize("key", [k for k, spec in REGISTRY.items()
+                                 if spec.kind == "int"])
+def test_negative_integers_rejected(key):
+    # every integer key is a count or a seed
+    assert resolve_config(overrides={key: "0"}, environ={}).get(key) == 0
+    for text in ("-1", "-1e3"):
+        with pytest.raises(ConfigError, match=f"^{key}: must be nonnegative"):
+            resolve_config(overrides={key: text}, environ={})

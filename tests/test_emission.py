@@ -1,16 +1,16 @@
 """Emission model: spectra, decay, rates, pump coupling."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from spdclum import emission
 from spdclum.emission import (DecayModel, EmissionModel, PumpConfig,
                               SpectralProfile, WavelengthGrid, band_mass,
-                              luminescence_decay_intensity,
-                              luminescence_spectral_density, make_model,
-                              retarget_pump, scale_power,
-                              spdc_center_wavelength, spdc_spectral_density,
-                              spectral_overlap_fraction)
+                              luminescence_decay_intensity, make_model,
+                              retarget_pump, spdc_center_wavelength,
+                              spectral_bin_masses)
 
 
 def test_degenerate_center_exact_across_pump_range():
@@ -33,41 +33,49 @@ def test_spdc_center_helper():
 
 
 def test_luminescence_density_pump_independent():
-    lam = np.linspace(300.0, 700.0, 801)
-    base = luminescence_spectral_density(make_model(267.0), lam)
+    edges = np.linspace(300.0, 700.0, 802)
+    base = make_model(267.0)
+    masses = spectral_bin_masses(base.lum_spectrum, base.grid, edges)
     for w, power in ((250.0, 100.0), (280.0, 5.0), (300.0, 1000.0)):
         other = make_model(w, pump_power_mw=power)
-        vals = luminescence_spectral_density(other, lam)
-        assert np.array_equal(vals, base)
+        assert other.lum_spectrum == base.lum_spectrum
+        assert np.array_equal(
+            spectral_bin_masses(other.lum_spectrum, other.grid, edges), masses)
 
 
 def test_densities_normalized_on_grid():
     model = make_model()
     grid = model.grid
-    lam = grid.centers()
-    for density in (luminescence_spectral_density, spdc_spectral_density):
-        total = np.trapezoid(density(model, lam), lam)
-        assert total == pytest.approx(1.0, abs=1e-6)
+    half = 0.5 * grid.step_nm
+    edges = np.append(grid.centers() - half, grid.max_nm + half)
+    for profile in (model.lum_spectrum, model.spdc_spectrum):
+        assert band_mass(profile, grid, (grid.min_nm, grid.max_nm)) == \
+            pytest.approx(1.0, abs=1e-6)
+        assert spectral_bin_masses(profile, grid, edges).sum() == \
+            pytest.approx(1.0, abs=1e-6)
 
 
 def test_luminescence_shape_oracle_values():
     model = make_model()
-    # skewed log-width shape, center 430 nm, FWHM 60 nm, skew 0.4
-    assert luminescence_spectral_density(model, 430.0) == pytest.approx(
-        0.015176787710969184, rel=1e-5)
-    assert luminescence_spectral_density(model, 490.0) == pytest.approx(
-        0.0031961213065784195, rel=1e-5)
-    assert luminescence_spectral_density(model, 370.0) == pytest.approx(
-        3.930539826098347e-8, rel=1e-4)
-    # density vanishes at and below the finite support edge near 357 nm
-    assert luminescence_spectral_density(model, 356.0) == 0.0
-    assert luminescence_spectral_density(model, 250.0) == 0.0
+    lum = model.lum_spectrum
+    # skewed log-width shape, center 430 nm, FWHM 60 nm, skew 0.4: density
+    # in 1/nm, as the mass of a narrow bin over its width
+    for lam, density, rel in ((430.0, 0.015176787710969184, 1e-5),
+                              (490.0, 0.0031961213065784195, 1e-5),
+                              (370.0, 3.930539826098347e-8, 1e-4)):
+        mass = band_mass(lum, model.grid, (lam - 1e-3, lam + 1e-3))
+        assert mass / 2e-3 == pytest.approx(density, rel=rel)
+    assert lum.shape(430.0) == 1.0
+    # the shape vanishes at and below the finite support edge near 357 nm
+    assert lum.shape(356.0) == 0.0
+    assert lum.shape(250.0) == 0.0
+    assert band_mass(lum, model.grid, (300.0, 356.0)) == 0.0
 
 
 def test_luminescence_realized_fwhm_is_nominal():
     model = make_model()
     lam = np.linspace(300.0, 700.0, 400001)
-    vals = luminescence_spectral_density(model, lam)
+    vals = model.lum_spectrum.shape(lam)
     peak = vals.max()
     above = lam[vals >= 0.5 * peak]
     fwhm = above[-1] - above[0]
@@ -78,9 +86,10 @@ def test_luminescence_realized_fwhm_is_nominal():
 
 def test_luminescence_skew_long_tail_red():
     model = make_model()
-    red = luminescence_spectral_density(model, 430.0 + 60.0)
-    blue = luminescence_spectral_density(model, 430.0 - 60.0)
-    assert red > blue
+    lum = model.lum_spectrum
+    assert lum.shape(430.0 + 60.0) > lum.shape(430.0 - 60.0)
+    assert band_mass(lum, model.grid, (430.0, 490.0)) > \
+        band_mass(lum, model.grid, (370.0, 430.0))
 
 
 def test_band_masses_oracle_values():
@@ -95,8 +104,9 @@ def test_band_masses_oracle_values():
         0.7206590343313215, rel=1e-5)
     assert band_mass(model.spdc_spectrum, grid, (460.0, 700.0)) == \
         pytest.approx(1.0, abs=1e-9)
-    assert spectral_overlap_fraction(model, (524.0, 544.0)) == pytest.approx(
-        0.010484904946946757, rel=1e-5)
+    assert band_mass(model.lum_spectrum, model.grid,
+                     (524.0, 544.0)) == pytest.approx(0.010484904946946757,
+                                                      rel=1e-5)
 
 
 def test_band_mass_validation():
@@ -160,28 +170,6 @@ def test_decay_model_validation():
         0.9 * 0.73 + 0.07 * 1850.0 + 0.03 * 9950.0)
 
 
-def test_scale_power_linearity_exact():
-    model = make_model()
-    for f in (0.25, 1.0, 3.0, 10.0):
-        scaled = scale_power(model, f)
-        assert scaled.lum_rate_hz == f * model.lum_rate_hz
-        assert scaled.spdc_rate_hz == f * model.spdc_rate_hz
-        assert scaled.pump.power_mw == f * model.pump.power_mw
-        # spectrum does not shift
-        lam = np.linspace(350.0, 650.0, 301)
-        assert np.array_equal(luminescence_spectral_density(scaled, lam),
-                              luminescence_spectral_density(model, lam))
-
-
-def test_scale_power_configurable_exponent():
-    model = make_model(spdc_power_exponent=2.0)
-    scaled = scale_power(model, 3.0)
-    assert scaled.spdc_rate_hz == pytest.approx(9.0 * model.spdc_rate_hz)
-    assert scaled.lum_rate_hz == pytest.approx(3.0 * model.lum_rate_hz)
-    with pytest.raises(ValueError):
-        scale_power(model, 0.0)
-
-
 def test_retarget_pump_moves_only_spdc():
     model = make_model(267.0)
     moved = retarget_pump(model, 290.0)
@@ -229,14 +217,42 @@ def test_wavelength_grid_bin_limit():
 
 
 def test_density_zero_outside_grid():
-    model = make_model()
-    assert luminescence_spectral_density(model, 299.0) == 0.0
-    assert luminescence_spectral_density(model, 701.0) == 0.0
+    # the grid clips the profile: bins beyond either end carry no mass
+    lum = SpectralProfile("luminescence_skewed", 430.0, 60.0, 0.4)
+    grid = WavelengthGrid(400.0, 450.0, 1.0)
+    masses = spectral_bin_masses(lum, grid,
+                                 np.array([380.0, 390.0, 399.5, 450.5,
+                                           460.0, 470.0]))
+    assert masses[0] == masses[1] == masses[3] == masses[4] == 0.0
+    assert masses[2] > 0.0
+    assert lum.shape(395.0) > 0.0 and lum.shape(455.0) > 0.0
+    assert band_mass(lum, grid, (380.0, 399.5)) == 0.0
+    assert band_mass(lum, grid, (450.5, 470.0)) == 0.0
 
 
 def test_model_fingerprint_stable_and_sensitive():
-    a = emission.model_fingerprint(make_model())
-    b = emission.model_fingerprint(make_model())
-    c = emission.model_fingerprint(make_model(lum_rate_hz=7e4))
-    assert a == b
-    assert a != c
+    base = make_model()
+    a = emission.model_fingerprint(base)
+    assert a == emission.model_fingerprint(make_model())
+    # one perturbation per make_model parameter, each visible in the text
+    perturbed = {
+        "pump_wavelength_nm": make_model(260.0),
+        "pump_power_mw": make_model(pump_power_mw=50.0),
+        "repetition_rate_hz": make_model(repetition_rate_hz=2000.0),
+        "spdc_fwhm_nm": make_model(spdc_fwhm_nm=12.0),
+        "lum_center_nm": make_model(lum_center_nm=440.0),
+        "lum_fwhm_nm": make_model(lum_fwhm_nm=50.0),
+        "lum_skew": make_model(lum_skew=0.3),
+        "amplitudes": make_model(amplitudes=(0.8, 0.15, 0.05)),
+        "lifetimes_ns": make_model(lifetimes_ns=(0.7, 1850.0, 9950.0)),
+        "irf_fwhm_ns": make_model(irf_fwhm_ns=0.2),
+        "spdc_rate_hz": make_model(spdc_rate_hz=2e5),
+        "lum_rate_hz": make_model(lum_rate_hz=7e4),
+        "spdc_polarized": make_model(spdc_polarized=False),
+        "grid": make_model(grid=WavelengthGrid(300.0, 700.0, 0.5)),
+    }
+    assert set(perturbed) == set(inspect.signature(make_model).parameters)
+    prints = {name: emission.model_fingerprint(m)
+              for name, m in perturbed.items()}
+    assert [name for name, p in prints.items() if p == a] == []
+    assert len(set(prints.values())) == len(prints)

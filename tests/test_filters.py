@@ -5,15 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from spdclum.emission import make_model
+from spdclum.emission import make_model, retarget_pump
 from spdclum.filters import (
+    MIN_PERIODS,
     BandpassFilter,
     FilterChain,
     LongpassFilter,
     Polarizer,
     ScenarioSpec,
     TemporalGate,
-    pump_wavelength_scan,
     repetition_rate_alert,
     run_scenarios,
     scenario_fidelity,
@@ -248,39 +248,14 @@ def test_scenario_snr_monotone_under_filtering():
 
 def test_pump_scan_bandpass_selects_degenerate():
     # a bandpass parked at 534 nm transmits more SPDC as the pump approaches
-    # 267 nm, so fidelity rises along the scan
+    # 267 nm, while the pump-independent luminescence fraction never moves
     chain = FilterChain((BandpassFilter(center_nm=534.0, fwhm_nm=20.0),))
-    points = pump_wavelength_scan(MODEL, chain, (250.0, 260.0, 267.0),
-                                  c_spdc=2.225e10, c_lum=1.343e10)
-    assert [p.pump_nm for p in points] == [250.0, 260.0, 267.0]
-    assert [p.spdc_center_nm for p in points] == [500.0, 520.0, 534.0]
-    fracs = [p.spdc_fraction for p in points]
+    models = [retarget_pump(MODEL, p) for p in (250.0, 260.0, 267.0)]
+    assert [m.spdc_spectrum.center_nm for m in models] == [500.0, 520.0,
+                                                           534.0]
+    fracs = [transmit_spdc(chain, m) for m in models]
     assert fracs[0] < fracs[1] < fracs[2]
-    fs = [p.f_exact for p in points]
-    assert fs[0] < fs[1] < fs[2]
-    # luminescence is pump-independent, so its fraction never moves
-    assert len({round(p.lum_fraction, 12) for p in points}) == 1
-
-
-def test_pump_scan_empty_chain_is_flat():
-    points = pump_wavelength_scan(MODEL, FilterChain(()),
-                                  (250.0, 267.0, 280.0),
-                                  c_spdc=1e10, c_lum=1e10)
-    fs = {round(p.f_exact, 14) for p in points}
-    assert len(fs) == 1
-
-
-def test_pump_scan_blocked_points_flagged():
-    chain = FilterChain((Polarizer(axis="orthogonal"),))
-    points = pump_wavelength_scan(MODEL, chain, (250.0, 267.0),
-                                  c_spdc=1e10, c_lum=1e10)
-    assert all("spdc-blocked" in p.flags for p in points)
-
-
-def test_pump_scan_validates_range_first():
-    with pytest.raises(ValueError):
-        pump_wavelength_scan(MODEL, FilterChain(()), (250.0, 310.0),
-                             c_spdc=1e10, c_lum=1e10)
+    assert len({transmit_luminescence(chain, m) for m in models}) == 1
 
 
 def test_repetition_rate_alert():
@@ -290,3 +265,7 @@ def test_repetition_rate_alert():
     slow = repetition_rate_alert(1e5, MODEL.lum_decay)
     assert not slow.ok
     assert "9950" in slow.message
+    # the period must cover MIN_PERIODS lifetimes of the slowest component
+    edge = 1e9 / (MIN_PERIODS * 9950.0)
+    assert repetition_rate_alert(edge, MODEL.lum_decay).ok
+    assert not repetition_rate_alert(edge * 1.001, MODEL.lum_decay).ok

@@ -160,6 +160,26 @@ def test_public_names_resolve():
         spdclum.no_such_name
 
 
+def test_every_public_name_is_reached():
+    # an exported name that no module, demo, bench step or acceptance
+    # criterion uses is reached only by its own unit tests: use it or drop it
+    sources = [p for p in sorted((ROOT / "src" / "spdclum").glob("*.py"))
+               if p.name != "__init__.py"]
+    sources += sorted((ROOT / "demos").glob("*.py"))
+    sources += sorted((ROOT / "bench").glob("*.py"))
+    sources.append(ROOT / "tests" / "test_acceptance.py")
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    assert sorted(set(spdclum.__all__) - used) == []
+
+
 def test_no_private_cross_module_imports():
     # a module reaching into another's private names couples the two
     # silently; share the name publicly or keep the code in one place
