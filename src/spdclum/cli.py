@@ -97,8 +97,7 @@ def _write_result(cfg: RunConfig, name: str, header, rows) -> bool:
 # subcommands
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out_dir = _prepare_out(cfg)
-    if out_dir is None:
+    if cfg.get("out.dir") is None:
         raise ConfigError("synth writes an image file: set --out DIR "
                           "(or the out.dir key)")
     model = cfg.build_model()
@@ -117,7 +116,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     image = synthesize(model, wl_grid, t_grid,
                        exposure=cfg.get("synth.exposure"),
                        seed=cfg.get("seed"), t0=cfg.get("synth.t0_ns"))
-    path = os.path.join(out_dir, "streak.csv")
+    path = os.path.join(_prepare_out(cfg), "streak.csv")
     write_streak_csv(image, path)
     alert = repetition_rate_alert(model.pump.repetition_rate_hz,
                                   model.lum_decay)

@@ -139,7 +139,6 @@ REGISTRY: dict[str, KeySpec] = {
     "out.format": _k("str", "pretty", choices=("csv", "pretty")),
 
     "pump.wavelength_nm": _k("float", 267.0),
-    "pump.power_mw": _k("float", 100.0),
     "pump.repetition_rate_hz": _k("float", 1000.0),
     "spdc_spectrum.fwhm_nm": _k("float", 10.0),
     "lum_spectrum.center_nm": _k("float", 430.0),
@@ -271,7 +270,6 @@ class RunConfig:
         try:
             return make_model(
                 g("pump.wavelength_nm"),
-                pump_power_mw=g("pump.power_mw"),
                 repetition_rate_hz=g("pump.repetition_rate_hz"),
                 spdc_fwhm_nm=g("spdc_spectrum.fwhm_nm"),
                 lum_center_nm=g("lum_spectrum.center_nm"),

@@ -1,10 +1,10 @@
 """Emission model: pump, SPDC line, crystal luminescence spectrum and decay.
 
 The model is deliberately scalar: photon rates per collected mode, spectral
-shapes normalized on a fixed wavelength grid and integrated per bin, and a
-multi-exponential decay law.  Degenerate type-I phase matching pins the SPDC
-line at twice the pump wavelength; the luminescence spectrum and decay do
-not depend on the pump at all.
+shapes normalized on a fixed wavelength grid and integrated per bin through
+their closed-form CDFs, and a multi-exponential decay law.  Degenerate
+type-I phase matching pins the SPDC line at twice the pump wavelength; the
+luminescence spectrum and decay do not depend on the pump at all.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
+
 PUMP_RANGE_NM = (240.0, 300.0)
 MAX_AXIS_BINS = 1_000_000  # bins on one wavelength or time axis
-# sample intervals of one spectral_bin_masses call: a full axis sub-sampled
-# at its own grid step (16 per bin), with one spare per bin for rounding
-MAX_SPECTRAL_SAMPLES = 17 * MAX_AXIS_BINS
 
 
 def uniform_bin_count(min_v: float, max_v: float, step: float,
@@ -40,11 +39,10 @@ class PumpConfig:
     """Ultraviolet pump pulse train.
 
     Phase matching on/off is expressed through the SPDC rate; the pump
-    polarization is not modeled.
+    power and polarization are not modeled (the rates are set directly).
     """
 
     wavelength_nm: float = 267.0
-    power_mw: float = 100.0
     repetition_rate_hz: float = 1000.0
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class PumpConfig:
             raise ValueError(
                 f"pump wavelength {self.wavelength_nm} nm outside the "
                 f"supported {lo:.0f}-{hi:.0f} nm range")
-        if self.power_mw <= 0.0:
-            raise ValueError("pump power must be positive")
         if self.repetition_rate_hz <= 0.0:
             raise ValueError("repetition rate must be positive")
 
@@ -107,6 +103,28 @@ class SpectralProfile:
         out = np.zeros_like(arg)
         ok = arg > 0.0
         out[ok] = np.exp(-ln2 * (np.log(arg[ok]) / b) ** 2)
+        return out.reshape(lam.shape)
+
+    def cdf(self, wavelength_nm) -> np.ndarray:
+        """Integral of shape up to each wavelength, up to a constant factor
+        (only differences are meaningful).
+
+        The skewed shape is exp(-u^2 / (2 s^2)) in u = ln(1 + 2 b x / delta)
+        with s = b / sqrt(2 ln 2); since dx is proportional to exp(u) du, its
+        integral is the Gaussian CDF of u - s^2 with width s.
+        """
+        lam = np.asarray(wavelength_nm, dtype=float)
+        x = lam.ravel() - self.center_nm
+        if self.skew == 0.0:
+            return kernels.gaussian_cdf(
+                x, self.fwhm_nm * kernels.FWHM_TO_SIGMA).reshape(lam.shape)
+        b = self.skew
+        delta = self.fwhm_nm * b / np.sinh(b)
+        arg = 2.0 * b * x / delta
+        s = b / np.sqrt(2.0 * np.log(2.0))
+        out = np.zeros_like(arg)
+        ok = arg > -1.0
+        out[ok] = kernels.gaussian_cdf(np.log1p(arg[ok]) - s * s, s)
         return out.reshape(lam.shape)
 
 
@@ -207,7 +225,6 @@ class EmissionModel:
 def make_model(
     pump_wavelength_nm: float = 267.0,
     *,
-    pump_power_mw: float = 100.0,
     repetition_rate_hz: float = 1000.0,
     spdc_fwhm_nm: float = 10.0,
     lum_center_nm: float = 430.0,
@@ -222,7 +239,7 @@ def make_model(
     grid: WavelengthGrid | None = None,
 ) -> EmissionModel:
     """Build a consistent EmissionModel; the SPDC line is derived from the pump."""
-    pump = PumpConfig(pump_wavelength_nm, pump_power_mw, repetition_rate_hz)
+    pump = PumpConfig(pump_wavelength_nm, repetition_rate_hz)
     return EmissionModel(
         pump=pump,
         spdc_spectrum=SpectralProfile("spdc_gaussian",
@@ -243,15 +260,6 @@ def retarget_pump(model: EmissionModel, pump_wavelength_nm: float) -> EmissionMo
     spdc = dataclasses.replace(model.spdc_spectrum,
                                center_nm=spdc_center_wavelength(pump))
     return dataclasses.replace(model, pump=pump, spdc_spectrum=spdc)
-
-
-def _norm_constant(profile: SpectralProfile, grid: WavelengthGrid) -> float:
-    """Normalization over the grid: trapezoid of the shape on bin centers."""
-    centers = grid.centers()
-    z = float(np.trapezoid(profile.shape(centers), centers))
-    if z <= 0.0:
-        raise ValueError("spectral profile has no mass on the wavelength grid")
-    return z
 
 
 def luminescence_decay_intensity(model: EmissionModel, t_ns):
@@ -276,7 +284,6 @@ def model_fingerprint(model: EmissionModel) -> str:
     """
     items = [
         ("pump.wavelength_nm", model.pump.wavelength_nm),
-        ("pump.power_mw", model.pump.power_mw),
         ("pump.repetition_rate_hz", model.pump.repetition_rate_hz),
         ("spdc.center_nm", model.spdc_spectrum.center_nm),
         ("spdc.fwhm_nm", model.spdc_spectrum.fwhm_nm),
@@ -301,24 +308,16 @@ def spectral_bin_masses(profile: SpectralProfile, grid: WavelengthGrid,
                         edges: np.ndarray) -> np.ndarray:
     """Integral of the normalized density over each wavelength bin.
 
-    Trapezoid quadrature, sub-sampling each bin at least 8 times and no
-    coarser than grid.step_nm / 16; the density vanishes outside the grid
-    span.  Raises ValueError before allocating when the samples would
-    exceed MAX_SPECTRAL_SAMPLES.
+    Differences of profile.cdf at the edges clipped to the grid span, over
+    the CDF across that span: the density is normalized on the grid and
+    vanishes outside it.  One cdf call serves both.
     """
-    widths = np.diff(edges)
-    n_sub = max(8, int(np.ceil(widths.max() / (grid.step_nm / 16.0))))
-    if n_sub * widths.size > MAX_SPECTRAL_SAMPLES:
-        raise ValueError(
-            f"spectral quadrature would take {n_sub * widths.size} samples "
-            f"({widths.size} bins x {n_sub}), more than the limit of "
-            f"{MAX_SPECTRAL_SAMPLES}; use bins closer to the grid step")
-    z = _norm_constant(profile, grid)
-    frac = np.linspace(0.0, 1.0, n_sub + 1)
-    pts = edges[:-1, None] + widths[:, None] * frac[None, :]
-    vals = profile.shape(pts) / z
-    vals[(pts < grid.min_nm) | (pts > grid.max_nm)] = 0.0
-    return np.trapezoid(vals, pts, axis=1)
+    f = profile.cdf(np.concatenate([[grid.min_nm, grid.max_nm], np.clip(
+        edges, grid.min_nm, grid.max_nm)]))
+    span = f[1] - f[0]
+    if not span > 0.0:
+        raise ValueError("spectral profile has no mass on the wavelength grid")
+    return np.diff(f[2:]) / span
 
 
 def band_mass(profile: SpectralProfile, grid: WavelengthGrid,
@@ -328,8 +327,4 @@ def band_mass(profile: SpectralProfile, grid: WavelengthGrid,
     lo, hi = float(band[0]), float(band[1])
     if hi < lo:
         raise ValueError(f"inverted wavelength band ({lo}, {hi})")
-    lo = max(lo, grid.min_nm)
-    hi = min(hi, grid.max_nm)
-    if hi <= lo:
-        return 0.0
     return float(spectral_bin_masses(profile, grid, np.array([lo, hi]))[0])

@@ -174,10 +174,8 @@ def fidelity_from_snr(snr: float, window_ns: float,
 
 @dataclass(frozen=True)
 class MonteCarloHerald:
-    """Empirical outcome tally with Wald standard errors.
-
-    p*_hat are per-window probabilities (counts / n_windows); fidelity_hat is
-    the heralded fraction k1 / (k0 + k1 + k2).
+    """Empirical outcome tally; fidelity_hat is the heralded fraction
+    k1 / (k0 + k1 + k2), with its Wald standard error.
     """
 
     n_windows: int
@@ -185,12 +183,6 @@ class MonteCarloHerald:
     k0: int
     k1: int
     k2: int
-    p0_hat: float
-    p1_hat: float
-    p2_hat: float
-    p0_se: float
-    p1_se: float
-    p2_se: float
     fidelity_hat: float
     fidelity_se: float
     seed: int
@@ -231,16 +223,6 @@ def monte_carlo_herald(params: HeraldParams, n_windows: int,
     else:
         fid = k1 / heralded
         fid_se = math.sqrt(max(fid * (1.0 - fid), 0.0) / heralded)
-
-    def _per_window(k):
-        p = k / n_windows
-        return p, math.sqrt(max(p * (1.0 - p), 0.0) / n_windows)
-
-    p0_hat, p0_se = _per_window(k0)
-    p1_hat, p1_se = _per_window(k1)
-    p2_hat, p2_se = _per_window(k2)
     return MonteCarloHerald(
         n_windows=int(n_windows), n_heralded=heralded, k0=k0, k1=k1, k2=k2,
-        p0_hat=p0_hat, p1_hat=p1_hat, p2_hat=p2_hat,
-        p0_se=p0_se, p1_se=p1_se, p2_se=p2_se,
         fidelity_hat=fid, fidelity_se=fid_se, seed=int(seed), flags=flags)

@@ -1,4 +1,4 @@
-"""Closed-form temporal kernels shared by synthesis, gating, and fitting.
+"""Closed-form kernels shared by synthesis, gating, fitting and spectra.
 
 All times are in nanoseconds.  The building blocks are a unit-area Gaussian
 (instrument response) and a causal exponential decay.  Their convolution and
@@ -11,8 +11,9 @@ exactly instead of through discrete convolution grids.  The convolution is
 which is evaluated through erfcx to stay finite for every argument size.
 The module exposes only what the model integrates: the Gaussian's and the
 convolution's masses (the latter with its gradient, whose dF/dt is the
-kernel itself) and the steady-state mass under pulsed excitation.
-Wavelength masses are not here: emission.spectral_bin_masses computes them.
+kernel itself) and the steady-state mass under pulsed excitation.  The
+Gaussian CDF also gives the wavelength masses, through
+emission.SpectralProfile.cdf.
 erfcx and the Gaussian CDF come from Cody's rational approximations in NumPy.
 """
 
@@ -26,9 +27,11 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
-# below this the erfc argument makes exp(z^2) overflow, so the asymptotic
-# branch (pure exponential tail) is used instead
-_Z_SPLIT = -25.0
+# below this erfc(z) = 2 - erfc(-z) is 2 to rounding (erfc(6) / 2 ~ 1e-17
+# relative), so the kernel is exactly the pure exponential tail
+# exp(sigma^2 / (2 tau^2) - t / tau); the erfcx form would carry exp's
+# rounding of z^2, ~1e-13 relative by z = -25, and overflows below -26.6
+_Z_SPLIT = -6.0
 
 # Cody, Math. Comp. 23:631 (1969): erf(x) = x R(x^2) for |x| <= 0.46875,
 # erfcx(x) = R(x) up to 4, then (1/sqrt(pi) - u R(u)) / x with u = 1/x^2; each
@@ -126,7 +129,7 @@ def _emg(t, tau, sigma):
     kern[near] = 0.5 * ex[:n_near] * np.broadcast_to(bump, z.shape)[near]
     far = ~near
     if np.any(far):
-        # erfc(z) -> 2 as z -> -inf; the correction term is below 1e-270 here
+        # erfc(z) = 2 - erfc(-z); the correction is below 1e-17 relative here
         t_far, tau_far = (np.broadcast_to(v, z.shape)[far] for v in (t, tau))
         kern[far] = np.exp(sigma**2 / (2.0 * tau_far**2) - t_far / tau_far)
     return _phi(w, bump, ex[n_near:]), kern, bump

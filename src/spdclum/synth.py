@@ -8,9 +8,9 @@ The expectation is separable:
 with T = exposure / repetition_rate the live integration time, G the IRF
 kernel mass in the time bin, D the decay mass (IRF-convolved, pile-up
 corrected and normalized per pulse period), and S the spectral density mass in
-the wavelength bin.  Time masses use the exact closed forms of kernels;
-wavelength masses come from emission.spectral_bin_masses, the sub-sampled
-trapezoid that also gives the filters their band masses.  A term whose rate
+the wavelength bin.  Both are closed forms: time masses from kernels,
+wavelength masses from emission.spectral_bin_masses, the spectral CDF
+differences that also give the filters their band masses.  A term whose rate
 is zero evaluates neither mass.  Shot noise is the only noise source: every
 bin is an independent Poisson draw.
 """

@@ -1,13 +1,16 @@
 """The traced benchmark run wraps spdclum names; keep every one of them.
 
 bench/tracing.py replaces module attributes and methods of spdclum for the
-length of a traced run, and the paper-repro steps read result fields.  A
-rename in src/ would otherwise surface only when the benchmark runs.  The
-tracer module is loaded from its file and never edited.
+length of a traced run, and the paper-repro steps read result fields and
+pass keywords to model builders.  A rename in src/ would otherwise surface
+only when the benchmark runs.  The bench modules are loaded or parsed from
+their files and never edited.
 """
 
+import ast
 import dataclasses
 import importlib
+import inspect
 import importlib.util
 import sys
 from pathlib import Path
@@ -75,3 +78,26 @@ def test_result_fields_read_by_the_steps():
         fields = {f.name for f in dataclasses.fields(cls)}
         missing = [n for n in names if n not in fields and not hasattr(cls, n)]
         assert not missing, (cls.__name__, missing)
+
+
+def test_bench_keywords_are_parameters():
+    # every keyword bench/*.py passes to these callables must still exist
+    targets = {"make_model": spdclum.emission.make_model,
+               "synthesize": spdclum.synth.synthesize,
+               "HeraldParams": spdclum.herald.HeraldParams,
+               "monte_carlo_herald": spdclum.herald.monte_carlo_herald}
+    seen, unknown = set(), []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name not in targets:
+                continue
+            seen.add(name)
+            params = inspect.signature(targets[name]).parameters
+            unknown += [(path.name, node.lineno, name, kw.arg)
+                        for kw in node.keywords
+                        if kw.arg is not None and kw.arg not in params]
+    assert seen == set(targets)
+    assert not unknown

@@ -307,7 +307,7 @@ def test_fit_nonfinite_trace_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["synth", "--set", "pump.power_mw=inf"],
+    ["synth", "--set", "lum_spectrum.fwhm_nm=inf"],
     ["scenario", "--set", "pump.repetition_rate_hz=inf"],
 ], ids=["synth", "scenario"])
 def test_infinite_config_float_exits_2(tmp_path, capsys, argv):
@@ -333,7 +333,7 @@ def test_negative_integer_exits_2(tmp_path, capsys, argv, key):
 
 
 @pytest.mark.parametrize("key", ["pump.polarization_angle_deg",
-                                 "spdc_power_exponent"])
+                                 "spdc_power_exponent", "pump.power_mw"])
 def test_removed_model_keys_are_unknown(tmp_path, capsys, key):
     code, _, err = run(capsys, "herald", "--set", f"{key}=1")
     assert code == 2
@@ -442,21 +442,18 @@ def test_count_beyond_int64_exits_3(tmp_path, capsys, command):
     assert "line 5: counts must fit in a 64-bit integer" in err
 
 
-def test_synth_spectral_sample_limit_exits_2(tmp_path, capsys):
-    # two 400 nm bins over a 0.0005 nm grid pass both bin limits but would
-    # take 2.56e7 quadrature samples; the limit stops it before allocating
-    from spdclum.emission import MAX_SPECTRAL_SAMPLES
-
+@pytest.mark.parametrize("argv, message", [
+    (["--exposure", "0"], "exposure must be at least one pulse"),
+    (["--set", "synth.time_step_ns=0"], "time step must be positive"),
+], ids=["exposure", "time-step"])
+def test_failed_synth_writes_nothing(tmp_path, capsys, argv, message):
+    # the output directory and its resolved.cfg appear only once the image
+    # is synthesized
     out = tmp_path / "o"
-    code, _, err = run(capsys, "synth", "--out", str(out),
-                       "--set", "grid.step_nm=0.0005",
-                       "--set", "synth.wavelength_min_nm=300",
-                       "--set", "synth.wavelength_max_nm=700",
-                       "--set", "synth.wavelength_step_nm=400")
+    code, _, err = run(capsys, "synth", "--out", str(out), *argv)
     assert code == 2
-    assert "25600000 samples" in err
-    assert f"limit of {MAX_SPECTRAL_SAMPLES}" in err
-    assert not (out / "streak.csv").exists()
+    assert message in err
+    assert not out.exists()
 
 
 # every named flag: a command line, the config key it stores under, the

@@ -60,13 +60,13 @@ def test_file_errors_name_line(tmp_path):
 
 def test_type_errors():
     with pytest.raises(ConfigError):
-        resolve_config(overrides={"pump.power_mw": "plenty"}, environ={})
+        resolve_config(overrides={"lum_spectrum.fwhm_nm": "plenty"}, environ={})
     with pytest.raises(ConfigError):
         resolve_config(overrides={"seed": "1.5"}, environ={})
     with pytest.raises(ConfigError):
         resolve_config(overrides={"spdc_polarized": "yes"}, environ={})
     with pytest.raises(ConfigError):
-        resolve_config(overrides={"pump.power_mw": "nan"}, environ={})
+        resolve_config(overrides={"lum_spectrum.fwhm_nm": "nan"}, environ={})
     with pytest.raises(ConfigError):
         resolve_config(overrides={"out.format": "json"}, environ={})
 
@@ -213,7 +213,7 @@ def test_build_herald():
 
 
 @pytest.mark.parametrize("key, text", [
-    ("pump.power_mw", "inf"),
+    ("lum_spectrum.fwhm_nm", "inf"),
     ("pump.repetition_rate_hz", "-inf"),
     ("lum_decay.lifetimes_ns", "0.73, inf, 9950"),
 ])

@@ -36,8 +36,8 @@ def test_luminescence_density_pump_independent():
     edges = np.linspace(300.0, 700.0, 802)
     base = make_model(267.0)
     masses = spectral_bin_masses(base.lum_spectrum, base.grid, edges)
-    for w, power in ((250.0, 100.0), (280.0, 5.0), (300.0, 1000.0)):
-        other = make_model(w, pump_power_mw=power)
+    for w, rate in ((250.0, 1000.0), (280.0, 5.0), (300.0, 1e6)):
+        other = make_model(w, repetition_rate_hz=rate)
         assert other.lum_spectrum == base.lum_spectrum
         assert np.array_equal(
             spectral_bin_masses(other.lum_spectrum, other.grid, edges), masses)
@@ -116,8 +116,7 @@ def test_band_mass_validation():
 
 
 def test_band_mass_is_one_synthesis_bin():
-    # filters and synthesis integrate the spectrum with the same rule;
-    # equal widths, since the sub-sampling follows the widest bin
+    # filters and synthesis integrate the spectrum with the same rule
     model = make_model()
     edges = np.array([400.0, 433.25, 466.5, 499.75, 533.0])
     for profile in (model.lum_spectrum, model.spdc_spectrum):
@@ -127,15 +126,70 @@ def test_band_mass_is_one_synthesis_bin():
                              (edges[k], edges[k + 1])) == masses[k]
 
 
-def test_spectral_sample_limit():
-    model = make_model(grid=WavelengthGrid(300.0, 700.0, 0.0005))
-    edges = np.array([100.0, 500.0, 900.0])
-    limit = emission.MAX_SPECTRAL_SAMPLES
-    # a whole axis at the bin limit, sub-sampled at its own step, fits
-    assert limit >= 16 * emission.MAX_AXIS_BINS + 16
-    with pytest.raises(ValueError, match=f"25600000 samples .* limit of "
-                                         f"{limit}"):
-        emission.spectral_bin_masses(model.lum_spectrum, model.grid, edges)
+_SPECTRA = {
+    "spdc": SpectralProfile("spdc_gaussian", 534.0, 10.0),
+    "lum": SpectralProfile("luminescence_skewed", 430.0, 60.0, 0.4),
+    "lum-skew-1e-3": SpectralProfile("luminescence_skewed", 430.0, 60.0,
+                                     1e-3),
+    "lum-skew-1.5": SpectralProfile("luminescence_skewed", 430.0, 60.0, 1.5),
+}
+
+
+def _mp_shape_and_cdf(profile):
+    """The shape and its antiderivative in mpmath, with the constant that
+    scales the antiderivative of SpectralProfile.cdf to the shape's."""
+    import mpmath
+
+    c, f, b = (mpmath.mpf(v) for v in (profile.center_nm, profile.fwhm_nm,
+                                       profile.skew))
+    ln2 = mpmath.log(2)
+    if b == 0:
+        sigma = f / (2 * mpmath.sqrt(2 * ln2))
+        return (lambda lam: mpmath.exp(-4 * ln2 * ((lam - c) / f) ** 2),
+                lambda lam: mpmath.ncdf((lam - c) / sigma),
+                sigma * mpmath.sqrt(2 * mpmath.pi))
+    delta = f * b / mpmath.sinh(b)
+    s = b / mpmath.sqrt(2 * ln2)
+
+    def arg(lam):
+        return 1 + 2 * b * (lam - c) / delta
+
+    def shape(lam):
+        a = arg(lam)
+        return mpmath.exp(-ln2 * (mpmath.log(a) / b) ** 2) if a > 0 else 0
+
+    def cdf(lam):
+        a = arg(lam)
+        return mpmath.ncdf((mpmath.log(a) - s * s) / s) if a > 0 else 0
+
+    return shape, cdf, delta / (2 * b) * mpmath.exp(s * s / 2) * s \
+        * mpmath.sqrt(2 * mpmath.pi)
+
+
+@pytest.mark.parametrize("name", list(_SPECTRA))
+def test_spectral_bin_masses_match_mpmath(name):
+    # default grid and synthesis edges; the 40-digit reference is the same
+    # antiderivative, itself checked against quadrature of the shape
+    import mpmath
+
+    profile = _SPECTRA[name]
+    grid = WavelengthGrid()
+    edges = np.append(grid.centers() - 0.5, grid.max_nm + 0.5)
+    clipped = np.clip(edges, grid.min_nm, grid.max_nm)
+    with mpmath.workdps(40):
+        shape, cdf, scale = _mp_shape_and_cdf(profile)
+        f = [cdf(mpmath.mpf(v)) for v in clipped]
+        ref = np.array([float((hi - lo) / (f[-1] - f[0]))
+                        for lo, hi in zip(f[:-1], f[1:])])
+        for k in np.flatnonzero(ref > 1e-3)[::20]:
+            lo, hi = (mpmath.mpf(v) for v in clipped[k:k + 2])
+            assert mpmath.quad(shape, [lo, hi]) == pytest.approx(
+                scale * (f[k + 1] - f[k]), rel=1e-25)
+    got = spectral_bin_masses(profile, grid, edges)
+    big = ref > 1e-4
+    assert np.all(np.abs(got[big] - ref[big]) <= 1e-11 * ref[big])
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    assert got.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_decay_intensity_strictly_decreasing():
@@ -228,6 +282,16 @@ def test_density_zero_outside_grid():
     assert lum.shape(395.0) > 0.0 and lum.shape(455.0) > 0.0
     assert band_mass(lum, grid, (380.0, 399.5)) == 0.0
     assert band_mass(lum, grid, (450.5, 470.0)) == 0.0
+    # so do bins that only touch the grid edge from outside, and bins
+    # spanning the grid partition it
+    masses = spectral_bin_masses(lum, grid,
+                                 np.array([390.0, 400.0, 450.0, 460.0]))
+    assert masses[0] == masses[2] == 0.0
+    assert masses.sum() == pytest.approx(1.0, abs=1e-15)
+    assert band_mass(lum, grid, (390.0, 400.0)) == 0.0
+    assert band_mass(lum, grid, (450.0, 460.0)) == 0.0
+    assert band_mass(lum, grid, (390.0, 460.0)) == pytest.approx(1.0,
+                                                                abs=1e-15)
 
 
 def test_model_fingerprint_stable_and_sensitive():
@@ -237,7 +301,6 @@ def test_model_fingerprint_stable_and_sensitive():
     # one perturbation per make_model parameter, each visible in the text
     perturbed = {
         "pump_wavelength_nm": make_model(260.0),
-        "pump_power_mw": make_model(pump_power_mw=50.0),
         "repetition_rate_hz": make_model(repetition_rate_hz=2000.0),
         "spdc_fwhm_nm": make_model(spdc_fwhm_nm=12.0),
         "lum_center_nm": make_model(lum_center_nm=440.0),

@@ -174,10 +174,10 @@ def test_monte_carlo_matches_analytic():
     se = mc.fidelity_se
     assert se > 0
     assert abs(mc.fidelity_hat - out.fidelity) <= 3.0 * se
-    # per-outcome shares too
-    for want, got, got_se in ((out.p0, mc.p0_hat, mc.p0_se),
-                              (out.p1, mc.p1_hat, mc.p1_se),
-                              (out.p2, mc.p2_hat, mc.p2_se)):
+    # per-outcome shares too, per window with their Wald errors
+    for want, k in ((out.p0, mc.k0), (out.p1, mc.k1), (out.p2, mc.k2)):
+        got = k / mc.n_windows
+        got_se = np.sqrt(got * (1.0 - got) / mc.n_windows)
         assert abs(got - want) <= max(3.0 * got_se, 1e-7)
     assert mc.k0 + mc.k1 + mc.k2 == mc.n_heralded
 

@@ -77,15 +77,25 @@ def test_emg_far_negative_underflows_to_zero():
     assert np.isfinite(density(-1e6, 1e6, 1.0))
 
 
-def test_emg_asymptotic_branch_continuous():
-    # just before the far-branch switch the closed form must already agree
-    # with the pure-exponential asymptote it switches to
-    tau, sigma = 1.0, 0.1
-    for z in (-20.0, -22.0, -24.0, -24.9):
-        t = sigma * (sigma / tau - z)  # invert z = sigma/tau - t/sigma
-        near = density(t, tau, sigma)
-        far = math.exp(sigma ** 2 / (2 * tau ** 2) - t / tau)
-        assert near == pytest.approx(far, rel=1e-12)
+@pytest.mark.parametrize("tau, sigma", [(1.0, 0.1), (TAU, SIGMA_015)],
+                         ids=["tau1-sigma0.1", "irf-0.15"])
+def test_emg_left_tail_matches_mpmath(tau, sigma):
+    # z = (sigma/tau - t/sigma)/sqrt(2) from -25 to -0.5 spans both sides
+    # of the far-branch switch; the kernel is exact to rounding on each
+    import mpmath
+
+    rng = np.random.default_rng(20261019)
+    z = np.concatenate([rng.uniform(-25.0, -0.5, 300),
+                        [-25.0, kernels._Z_SPLIT, -0.5]])
+    t = sigma * (sigma / tau - np.sqrt(2.0) * z)
+    with mpmath.workdps(40):
+        s, u = mpmath.mpf(sigma), mpmath.mpf(tau)
+        ref = np.array([float(
+            mpmath.exp(s**2 / (2 * u**2) - v / u)
+            * mpmath.erfc((s / u - v / s) / mpmath.sqrt(2)) / 2)
+            for v in map(mpmath.mpf, t)])
+    got = density(t, tau, sigma)
+    assert np.max(np.abs(got - ref) / ref) <= 2e-14
     # far side of the switch stays finite for extreme arguments
     assert np.isfinite(density(1e6, 1e4, 0.1))
 
@@ -202,7 +212,7 @@ def test_periodic_pileup_overflow_raises():
 
 
 # Cody's three ranges, split at 0.46875 and 4, and the reflection below
-# -0.46875; the kernel switches to its far branch at _Z_SPLIT = -25
+# -0.46875; the kernel switches to its far branch at _Z_SPLIT = -6
 _ERFCX_RANGES = [(-0.46875, 0.46875), (0.46875, 4.0), (4.0, 50.0),
                  (50.0, 1e6), (-4.0, -0.46875), (-26.0, -4.0)]
 _ERFCX_EDGES = [-0.46875, 0.46875, -4.0, 4.0, kernels._Z_SPLIT, 50.0, 1e6]

@@ -93,19 +93,37 @@ def test_lum_term_off():
 
 @pytest.mark.parametrize("term", ["spdc", "lum"])
 def test_zero_rate_term_evaluates_no_temporal_kernel(monkeypatch, term):
-    # a term whose rate is zero adds nothing, so its time masses must not
-    # be computed at all; the expected counts stay bit for bit the same
-    from spdclum import kernels
+    # a term whose rate is zero adds nothing, so neither its time masses nor
+    # its wavelength masses may be computed; the expected counts stay bit
+    # for bit the same
+    from spdclum import kernels, synth
 
     model = make_model(**{f"{term}_rate_hz": 0.0})
     grid = time_grid(-2.0, 8.0, 0.05)
     want = expected_counts(model, None, grid, exposure=1000)
+    zero_profile = getattr(model, f"{term}_spectrum")
+    irf_sigma = model.lum_decay.irf_fwhm_ns * kernels.FWHM_TO_SIGMA
+    gaussian_cdf, bin_masses = kernels.gaussian_cdf, synth.spectral_bin_masses
 
     def forbidden(*args, **kwargs):
         raise AssertionError("temporal kernel of a zero-rate term")
 
-    kernel = {"spdc": "gaussian_cdf", "lum": "periodic_decay_mass"}[term]
-    monkeypatch.setattr(kernels, kernel, forbidden)
+    def spectra_only_cdf(t, sigma):
+        # the spectra call the Gaussian CDF too, at their own widths
+        if sigma == irf_sigma:
+            forbidden()
+        return gaussian_cdf(t, sigma)
+
+    def other_masses(profile, *args):
+        if profile == zero_profile:
+            raise AssertionError("spectral mass of a zero-rate term")
+        return bin_masses(profile, *args)
+
+    monkeypatch.setattr(synth, "spectral_bin_masses", other_masses)
+    if term == "spdc":
+        monkeypatch.setattr(kernels, "gaussian_cdf", spectra_only_cdf)
+    else:
+        monkeypatch.setattr(kernels, "periodic_decay_mass", forbidden)
     got = expected_counts(model, None, grid, exposure=1000)
     assert np.array_equal(got, want)
     assert synthesize(model, None, grid, exposure=1000, seed=2).counts.sum() > 0
