@@ -4,11 +4,14 @@ Damped least squares (projected Levenberg-Marquardt) with an analytic
 Jacobian and Poisson weights w = 1/max(counts, 1).  Every start on a
 deterministic grid of log-spaced lifetimes gets its amplitudes and baseline
 seeded by nonnegative linear least squares, all from one kernel column per
-lifetime and one Gram matrix; the starts are ranked by that seed's objective
-and only the best one is refined.  Both solvers are NumPy code in this
-module.  The model and its Jacobian share one kernel evaluation per
-parameter point.  Uncertainties come from the quadratic approximation at
-the optimum, scaled by the reduced chi-square.
+lifetime and one Gram matrix; the starts are ranked by that seed's
+objective, also taken from the Gram matrix, and only the best one is
+refined.  Both solvers are NumPy code in this module, and the refinement
+works on p x p matrices (p parameters): J^T J and J^T r once per Jacobian,
+one small solve per trial step.  The model and its Jacobian share one
+kernel evaluation per parameter point.  Uncertainties come from the
+quadratic approximation at the optimum, scaled by the reduced chi-square:
+the pseudo-inverse of J^T J and its null space, from one SVD.
 
 The model per time bin is the bin average of
 
@@ -135,9 +138,13 @@ def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
 
     Projected Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11:431,
     1963).  Each step minimizes ||J s + r||^2 + lambda ||D s||^2 with
-    Marquardt's column scaling D^2 = sum of squared Jacobian entries per
-    column (kept at its running maximum), freezes a variable at a bound
-    whose gradient points outward, and clips the trial point to the bounds.
+    Marquardt's column scaling D^2 = diag(J^T J) (kept at its running
+    maximum), freezes a variable at a bound whose gradient points outward,
+    and clips the trial point to the bounds.  J^T J and g = J^T r are formed
+    once per Jacobian; every trial step, rejected ones included, solves the
+    p x p system (J^T J + lambda D^2) s = -g on the free variables, in the
+    scaled variables D s (as MINPACK's lmder works on p x p factors; Moré,
+    LNM 630, 1978), and the predicted decrease is -(g.s + s.J^T J.s / 2).
     lambda follows the ratio of actual to predicted decrease.  The solve
     stops on the relative cost decrease (FTOL), the scaled step (XTOL), the
     scaled gradient (GTOL), or after max_nfev residual evaluations.
@@ -150,29 +157,31 @@ def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
     if not np.isfinite(cost):
         return LeastSquaresResult(x, cost, 0, nfev)
     damping, growth = 1e-3, 2.0
-    col_norm = np.zeros(x.size)
+    d_sq = np.zeros(x.size)
     j_mat = None
     while nfev < max_nfev:
         if j_mat is None:
             j_mat = jac(x)
             if not np.all(np.isfinite(j_mat)):
                 break
-            col_norm = np.maximum(col_norm, np.linalg.norm(j_mat, axis=0))
-            d = np.where(col_norm > 0.0, col_norm, 1.0)
-            g = j_mat.T @ r
+            jtj, g = j_mat.T @ j_mat, j_mat.T @ r
+            d_sq = np.maximum(d_sq, np.diag(jtj))
+            d = np.where(d_sq > 0.0, np.sqrt(d_sq), 1.0)
             free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
             r_norm = np.sqrt(2.0 * cost)
             if np.all(np.abs(g[free]) <= GTOL * d[free] * r_norm):
                 return LeastSquaresResult(x, cost, 1, nfev)
-        jf = j_mat[:, free]
-        aug = np.vstack([jf, np.diag(np.sqrt(damping) * d[free])])
-        rhs = np.concatenate([-r, np.zeros(jf.shape[1])])
+            # J^T J of the free variables in the scaled variables u = D s
+            d_free = d[free]
+            scaled = jtj[np.ix_(free, free)] / np.outer(d_free, d_free)
+        # (J^T J + lambda D^2) s = -g on the free variables
         try:
-            step_free = np.linalg.lstsq(aug, rhs, rcond=None)[0]
+            u = np.linalg.solve(scaled + damping * np.eye(d_free.size),
+                                -g[free] / d_free)
         except np.linalg.LinAlgError:
             break
         step = np.zeros(x.size)
-        step[free] = step_free
+        step[free] = u / d_free
         trial = np.clip(x + step, lo, hi)
         step = trial - x
         if not np.all(np.isfinite(step)):
@@ -182,8 +191,7 @@ def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
         cost_trial = 0.5 * float(r_trial @ r_trial)
         if not np.isfinite(cost_trial):
             break
-        j_step = j_mat @ step
-        predicted = -(g @ step + 0.5 * (j_step @ j_step))
+        predicted = -(g @ step + 0.5 * (step @ jtj @ step))
         actual = cost - cost_trial
         ratio = actual / predicted if predicted > 0.0 else -np.inf
         ftol_met = actual < FTOL * cost and ratio > 0.25
@@ -362,33 +370,46 @@ class DecayDesign:
         return self.best_start([taus])
 
     def best_start(self, starts) -> np.ndarray:
-        """initial_theta of the lifetime start whose seed fits best.
+        """initial_theta of the lifetime start whose seed fits best."""
+        thetas, objectives = self._seeds(starts)
+        return thetas[int(np.argmin(objectives))]
+
+    def _seeds(self, starts):
+        """initial_theta of every lifetime start, a row each, and its
+        objective.
 
         One kernel call gives a column per distinct lifetime, from which
-        nnls_supports seeds every start and the objectives rank them.
+        nnls_supports seeds every start.  The objectives come from the
+        weighted Gram matrix and projections of each start's columns, not
+        from a residual vector per start.
         """
         taus, support = np.unique(np.asarray(starts, dtype=float),
                                   return_inverse=True)
-        support = support.reshape(len(starts), self.n)
+        k = len(starts)
+        support = support.reshape(k, self.n)
         cols = self._avg(kernels.exp_conv_gauss_cdf(
             self.edges - self.t0_fixed, taus,
             (self.irf_fwhm_ns or 0.0) * kernels.FWHM_TO_SIGMA))
         free = int(self.baseline_mode == "free")  # baseline column last
         a_mat = np.vstack([cols, np.ones((free, self.t.size))]).T
-        support = np.hstack([support, np.full((len(starts), free), taus.size)])
-        coef = nnls_supports(a_mat * self.w[:, None], self.y * self.w, support)
+        support = np.hstack([support, np.full((k, free), taus.size)])
+        a_w, b_w = a_mat * self.w[:, None], self.y * self.w
+        coef = nnls_supports(a_w, b_w, support)
         floor = max(self.y.max(initial=0.0), 1.0) * 1e-6
         amps, base = (np.maximum(coef[:, :self.n], floor),
                       np.maximum(coef[:, self.n:], 0.0))
-        # each seed's objective, in model's operation order
-        out = np.zeros_like(self.t) + (base if free else 0.0)
-        for k in range(self.n):
-            out = out + amps[:, k, None] * cols[support[:, k]]
-        objectives = [0.5 * float(r @ r) for r in (out - self.y) * self.w]
-        best = min(range(len(starts)), key=objectives.__getitem__)
-        return np.concatenate([
-            base[best], [self.t0_fixed] * self.fit_t0, amps[best],
-            taus[support[best, :self.n]], [self.irf_fwhm_ns] * self.fit_irf])
+        # 0.5 * ||A c - b||^2 = 0.5 * (c.G.c - 2 c.p + b.b) on each support
+        c = np.hstack([amps, base])
+        gram, proj = a_w.T @ a_w, a_w.T @ b_w
+        quad = np.einsum("si,sij,sj->s", c,
+                         gram[support[:, :, None], support[:, None, :]], c)
+        objectives = 0.5 * (quad - 2.0 * np.sum(c * proj[support], axis=1)
+                            + b_w @ b_w)
+        thetas = np.hstack([
+            base, np.full((k, int(self.fit_t0)), self.t0_fixed), amps,
+            taus[support[:, :self.n]],
+            np.full((k, int(self.fit_irf)), self.irf_fwhm_ns or 0.0)])
+        return thetas, objectives
 
 
 def fit_multiexp(time_ns, counts, n_components: int,
@@ -450,15 +471,18 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
     dof = max(design.t.size - design.n_params, 1)
     chi2_red = 2.0 * res.cost / dof
     if np.isfinite(chi2_red) and np.all(np.isfinite(jtj)):
-        sing = np.linalg.svd(jtj, compute_uv=False)
-        cov = np.linalg.pinv(jtj) * chi2_red
-        sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        u, sing, vt = np.linalg.svd(jtj)
+        # the diagonal of pinv(jtj) (NumPy's default cutoff) from the same
+        # factors: zero variance along the null space
+        inv = np.divide(1.0, sing, out=np.zeros_like(sing),
+                        where=sing > sing[0] * 1e-15)
+        cov_diag = np.einsum("ki,k,ik->i", vt, inv, u) * chi2_red
+        sigmas = np.sqrt(np.clip(cov_diag, 0.0, None))
         null = sing <= sing[0] * 1e-14
         if np.any(null):
             flags.append("ill-conditioned")
-            # pinv gives zero variance along the null space: a parameter
-            # with more than rounding weight there is not determined
-            vt = np.linalg.svd(jtj)[2]
+            # a parameter with more than rounding weight on a null singular
+            # vector is not determined
             sigmas[np.any(np.abs(vt[null]) > 1e-8, axis=0)] = np.inf
     else:
         sigmas = np.full(design.n_params, np.nan)

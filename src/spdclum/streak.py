@@ -282,6 +282,21 @@ def _parse_rows(rows, n_wavelengths: int):
     return times, np.array(counts, dtype=np.int64)
 
 
+def _total_fits_int64(counts: np.ndarray) -> bool:
+    """Whether the sum of nonnegative int64 counts stays within int64.
+
+    No partial sum can pass the limit when the largest count times the
+    number of counts does not.  Otherwise the high and low 32-bit halves are
+    summed apart, neither of which wraps below 2**31 counts, and joined as
+    Python ints.
+    """
+    if counts.max(initial=0) <= _INT64_MAX // max(counts.size, 1):
+        return True
+    total = ((int(np.sum(counts >> 32)) << 32)
+             + int(np.sum(counts & 0xFFFFFFFF)))
+    return total <= _INT64_MAX
+
+
 def read_streak_csv(path) -> StreakImage:
     """Parse a streak CSV; malformed content raises StreakParseError with a
     line number."""
@@ -300,6 +315,9 @@ def read_streak_csv(path) -> StreakImage:
         raise StreakParseError("no image data found")
     times, counts = (_parse_count_block(rows, wavelengths.size)
                      or _parse_rows(rows, wavelengths.size))
+    # every count fits in int64, their total need not: sums would wrap
+    if not _total_fits_int64(counts):
+        raise StreakParseError("total counts do not fit in a 64-bit integer")
     exposure = metadata.pop("exposure", None)
     if exposure is None:
         raise StreakParseError("missing '# exposure = N' metadata")

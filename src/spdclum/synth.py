@@ -11,8 +11,16 @@ corrected and normalized per pulse period), and S the spectral density mass in
 the wavelength bin.  Both are closed forms: time masses from kernels,
 wavelength masses from emission.spectral_bin_masses, the spectral CDF
 differences that also give the filters their band masses.  A term whose rate
-is zero evaluates neither mass.  Shot noise is the only noise source: every
-bin is an independent Poisson draw.
+is zero evaluates neither mass.  The image total follows from the factors
+alone, so an expectation beyond MAX_TOTAL_COUNTS is refused before any
+image-sized allocation: 2**62 keeps the int64 total of the Poisson counts
+clear of 2**63, where it would wrap.
+
+Shot noise is the only noise source: every bin is an independent Poisson
+draw.  A synthesis holds one image-sized buffer: the expectation is written
+into it BLOCK_BINS at a time, and each row block's Poisson counts then
+overwrite the means they were drawn from, in the C order (and so the random
+stream) of one whole-image draw.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from .emission import (EmissionModel, model_fingerprint, spectral_bin_masses,
 from .streak import StreakImage
 
 MAX_IMAGE_BINS = 50_000_000  # time x wavelength bins in one image
+MAX_TOTAL_COUNTS = 2.0 ** 62  # expected counts in one image
+BLOCK_BINS = 16_384  # bins per row block written or drawn at once
 
 
 def time_grid(min_ns: float, max_ns: float, step_ns: float) -> np.ndarray:
@@ -66,26 +76,41 @@ def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
     t_live = exposure / model.pump.repetition_rate_hz
     s = t_edges - t0
     sigma = model.lum_decay.irf_fwhm_ns * kernels.FWHM_TO_SIGMA
-    # t_live * (R_S * outer(spdc) + R_L * outer(lum)) in that operation
-    # order, in place; a term whose rate is zero evaluates no mass at all
-    out = None
-    for rate, mass_t, profile in (
-            (model.spdc_rate_hz,
-             lambda: np.diff(kernels.gaussian_cdf(s, sigma)),
-             model.spdc_spectrum),
-            (model.lum_rate_hz, lambda: _decay_mass(model, s, sigma),
-             model.lum_spectrum)):
-        if rate != 0.0:
-            term = np.outer(mass_t(), spectral_bin_masses(profile, model.grid,
-                                                          lam_edges))
-            term *= rate
-            if out is None:
-                out = term
-            else:
-                out += term
-    if out is None:
+    # (rate, time masses, wavelength masses) per term; a term whose rate is
+    # zero evaluates no mass at all
+    terms = [(rate, mass_t(), spectral_bin_masses(profile, model.grid,
+                                                  lam_edges))
+             for rate, mass_t, profile in (
+                 (model.spdc_rate_hz,
+                  lambda: np.diff(kernels.gaussian_cdf(s, sigma)),
+                  model.spdc_spectrum),
+                 (model.lum_rate_hz, lambda: _decay_mass(model, s, sigma),
+                  model.lum_spectrum))
+             if rate != 0.0]
+    # the image total from the separable factors, before any allocation
+    total = t_live * sum(rate * m_t.sum() * m_lam.sum()
+                         for rate, m_t, m_lam in terms)
+    if total > MAX_TOTAL_COUNTS:
+        raise ValueError(
+            f"exposure {exposure} gives {total:.3g} expected counts, more "
+            f"than the limit of 2**62 ({MAX_TOTAL_COUNTS:.3g}); lower "
+            "synth.exposure")
+    if not terms:
         return np.zeros((n_t, n_lam))
-    out *= t_live
+    # t_live * (R_S * outer(spdc) + R_L * outer(lum)) in that operation order,
+    # written a row block at a time so only one image-sized buffer exists
+    out = np.empty((n_t, n_lam))
+    rows = max(1, BLOCK_BINS // n_lam)
+    scratch = np.empty((min(rows, n_t), n_lam))
+    for i in range(0, n_t, rows):
+        block = out[i:i + rows]
+        for k, (rate, m_t, m_lam) in enumerate(terms):
+            term = scratch[:len(block)] if k else block
+            np.multiply.outer(m_t[i:i + rows], m_lam, out=term)
+            term *= rate
+            if k:
+                block += term
+        block *= t_live
     return out
 
 
@@ -105,6 +130,9 @@ def expected_counts(model: EmissionModel, wavelength_grid=None, time_grid=None,
     Returns
     -------
     ndarray, shape (n_time, n_wavelength)
+
+    Raises ValueError when the image would pass MAX_IMAGE_BINS bins or its
+    expected total MAX_TOTAL_COUNTS.
     """
     if time_grid is None:
         raise ValueError("a time grid is required")
@@ -119,9 +147,11 @@ def synthesize(model: EmissionModel, wavelength_grid=None, time_grid=None, *,
                exposure: int, seed: int, t0: float = 0.0) -> StreakImage:
     """Draw a shot-noise-limited streak image; deterministic per seed.
 
-    Every bin is an independent Poisson draw around expected_counts.  A
-    warning is recorded in the metadata when the time binning cannot resolve
-    the IRF-limited SPDC pulse.
+    Every bin is an independent Poisson draw around expected_counts, the
+    same counts as np.random.default_rng(seed).poisson(expected_counts(...))
+    drawn into the expectation's own buffer.  A warning is recorded in the
+    metadata when the time binning cannot resolve the IRF-limited SPDC
+    pulse.
     """
     mean = expected_counts(model, wavelength_grid, time_grid,
                            exposure=exposure, t0=t0)
@@ -129,7 +159,13 @@ def synthesize(model: EmissionModel, wavelength_grid=None, time_grid=None, *,
            if wavelength_grid is not None else model.grid.centers())
     t = np.asarray(time_grid, dtype=float)
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(mean)
+    # one draw per row block consumes the stream in the C order of one
+    # whole-image draw; each block's counts overwrite the means they came
+    # from, through an int64 view of the same buffer
+    counts = mean.view(np.int64)
+    rows = max(1, BLOCK_BINS // mean.shape[1])
+    for i in range(0, mean.shape[0], rows):
+        counts[i:i + rows] = rng.poisson(mean[i:i + rows])
     metadata = {
         "seed": str(int(seed)),
         "pulse_arrival_ns": repr(float(t0)),

@@ -101,3 +101,21 @@ def test_bench_keywords_are_parameters():
                         if kw.arg is not None and kw.arg not in params]
     assert seen == set(targets)
     assert not unknown
+
+
+def test_each_synthesize_spans_one_expected_counts(tracing):
+    # synth.expected_counts_s is read from the expected_counts spans inside
+    # the workload's synthesize calls; a synthesize that stopped calling the
+    # module attribute would leave that span list empty
+    tracer = tracing.Tracer()
+    grid = spdclum.synth.time_grid(-2.0, 8.0, 0.1)
+    with tracer.installed():
+        for seed in (1, 2, 3):
+            spdclum.synth.synthesize(spdclum.make_model(), None, grid,
+                                     exposure=100, seed=seed)
+    outer = [i for i, s in enumerate(tracer.spans)
+             if s.name == "synth.synthesize"]
+    inner = [s.parent for s in tracer.spans
+             if s.name == "synth.expected_counts"]
+    assert len(outer) == 3
+    assert sorted(inner) == outer

@@ -442,10 +442,26 @@ def test_count_beyond_int64_exits_3(tmp_path, capsys, command):
     assert "line 5: counts must fit in a 64-bit integer" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "fit"])
+def test_count_total_beyond_int64_exits_3(tmp_path, capsys, command):
+    # 16 counts of 2**61 each fit in int64; their total, 2**65, does not
+    path = tmp_path / "image.csv"
+    rows = "".join(f"{t},{','.join([str(2**61)] * 4)}\n"
+                   for t in (-1.0, 0.0, 1.0, 2.0))
+    path.write_text("# streak-image/v1\n# exposure = 5\n"
+                    f"500.0,530.0,540.0,600.0\n{rows}")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 3
+    assert err == ("input error: total counts do not fit in a 64-bit "
+                   "integer\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--exposure", "0"], "exposure must be at least one pulse"),
     (["--set", "synth.time_step_ns=0"], "time step must be positive"),
-], ids=["exposure", "time-step"])
+    # an expected total beyond 2**62 would wrap the int64 count total
+    (["--exposure", "100000000000000000"], "lower synth.exposure"),
+], ids=["exposure", "time-step", "exposure-total"])
 def test_failed_synth_writes_nothing(tmp_path, capsys, argv, message):
     # the output directory and its resolved.cfg appear only once the image
     # is synthesized

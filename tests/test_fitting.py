@@ -252,6 +252,37 @@ def test_ranked_start_matches_multistart():
         np.testing.assert_allclose(fit.lifetimes_ns, ladder_taus, rtol=1e-6)
 
 
+def _criterion_tail_traces():
+    # the two-lifetime tail traces of criteria 6b (seeds 0-19) and 7
+    grid = time_grid(0.0, 50_000.0, 50.0)
+    models = [(make_model(amplitudes=(0.7, 0.3), lifetimes_ns=(1850.0, 9950.0),
+                          spdc_rate_hz=0.0, repetition_rate_hz=10.0), seed)
+              for seed in range(20)]
+    models += [(make_model(pump, amplitudes=(0.7, 0.3),
+                           lifetimes_ns=(1850.0, 9950.0),
+                           repetition_rate_hz=10.0), seed)
+               for pump, seed in zip((250.0, 260.0, 267.0, 280.0),
+                                     (104, 105, 106, 107))]
+    for model, seed in models:
+        img = synthesize(model, None, grid, exposure=400, seed=seed)
+        t, y = extract_time_trace(img, (350.0, 510.0))
+        yield t[t >= 150.0], y[t >= 150.0]
+
+
+def test_gram_ranked_start_matches_residual_ranking():
+    # the seeds are ranked from the Gram matrix; the reference ranks them by
+    # the objective of their residual vectors
+    for t, y in _criterion_tail_traces():
+        design = DecayDesign(t, y, 2)
+        starts = design.start_lifetimes()
+        thetas, objectives = design._seeds(starts)
+        reference = np.array([design.objective(theta) for theta in thetas])
+        best = int(np.argmin(reference))
+        assert int(np.argmin(objectives)) == best
+        assert np.array_equal(design.best_start(starts), thetas[best])
+        np.testing.assert_allclose(objectives, reference, rtol=1e-9)
+
+
 def test_one_nonlinear_solve_per_fit(monkeypatch):
     from spdclum import fitting
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spdclum import streak
-from spdclum.streak import StreakImage, read_streak_csv, write_streak_csv
+from spdclum.streak import (StreakImage, StreakParseError, read_streak_csv,
+                            write_streak_csv)
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -37,7 +38,8 @@ def _axis(n):
 def images(draw):
     n_t = draw(st.integers(2, 6))
     n_wl = draw(st.integers(2, 6))
-    top = draw(st.sampled_from([9, 10**6, _INT64_MAX]))
+    # _INT64_MAX // 36: the largest counts whose total always fits
+    top = draw(st.sampled_from([9, 10**6, _INT64_MAX // 36, _INT64_MAX]))
     counts = draw(arrays(np.int64, (n_t, n_wl),
                          elements=st.integers(0, top)))
     return StreakImage(counts, draw(_axis(n_wl)), draw(_axis(n_t)),
@@ -56,6 +58,11 @@ def path(tmp_path_factory):
 def test_write_read_write_is_byte_exact(path, img):
     write_streak_csv(img, path)
     first = path.read_bytes()
+    if sum(img.counts.ravel().tolist()) > _INT64_MAX:
+        # every count fits in int64 but their total does not
+        with pytest.raises(StreakParseError, match="total counts do not fit"):
+            read_streak_csv(path)
+        return
     back = read_streak_csv(path)
     assert np.array_equal(back.counts, img.counts)
     assert np.array_equal(back.wavelength_axis_nm, img.wavelength_axis_nm)

@@ -181,9 +181,29 @@ def test_parse_error_count_beyond_int64(tmp_path):
         read_streak_csv(path)
     assert "line 4" in str(err.value)
     assert "64-bit" in str(err.value)
-    # the largest int64 count still reads
-    path.write_text(f"# exposure = 5\n500,501\n0.0,3,4\n1.0,2,{2**63 - 1}\n")
+    # the largest int64 count still reads, alone: the total must fit too
+    path.write_text(f"# exposure = 5\n500,501\n0.0,0,0\n1.0,0,{2**63 - 1}\n")
     assert read_streak_csv(path).counts[1, 1] == 2**63 - 1
+
+
+@pytest.mark.parametrize("counts, fits", [
+    ([2**62, 2**62 - 1, 0, 0], True),
+    ([2**62, 2**62 - 2, 1, 1], False),
+    ([2**61] * 4, False),
+    ([2**63 - 1, 1, 0, 0], False),
+], ids=["max-total", "max-total-plus-one", "four-of-2**61", "max-count-and-one"])
+def test_count_total_must_fit_int64(tmp_path, counts, fits):
+    # an int64 sum of these counts wraps; the reader judges the exact total,
+    # 2**63 - 1 at most
+    path = tmp_path / "img.csv"
+    path.write_text("# exposure = 5\n500,501\n"
+                    f"0.0,{counts[0]},{counts[1]}\n1.0,{counts[2]},{counts[3]}\n")
+    if fits:
+        assert read_streak_csv(path).total_counts == sum(counts)
+    else:
+        with pytest.raises(StreakParseError,
+                           match="total counts do not fit in a 64-bit integer"):
+            read_streak_csv(path)
 
 
 def test_parse_error_binary_file(tmp_path):

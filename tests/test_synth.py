@@ -186,3 +186,83 @@ def test_binwidth_warning_recorded():
     img2 = synthesize(model, None, time_grid(-2.0, 8.0, 0.05),
                       exposure=100, seed=1)
     assert "warning" not in img2.metadata
+
+
+def _criterion_7_case():
+    model = make_model(267.0, amplitudes=(0.7, 0.3),
+                       lifetimes_ns=(1850.0, 9950.0), repetition_rate_hz=10.0)
+    return model, None, time_grid(0.0, 50_000.0, 50.0), 400
+
+
+@pytest.mark.parametrize("case", ["lum-only", "spdc-only", "two-term",
+                                  "zero-rate", "wavelength-grid",
+                                  "criterion-7"])
+def test_synthesize_draws_one_whole_image_poisson(case):
+    # the draw goes a row block at a time; it must consume the stream of one
+    # Poisson call over the whole expected image, byte for byte
+    from spdclum import synth
+
+    grid = time_grid(-2.0, 8.0, 0.05)
+    model, wl, t, exposure = {
+        "lum-only": (make_model(spdc_rate_hz=0.0), None, grid, 150_000),
+        "spdc-only": (make_model(lum_rate_hz=0.0), None, grid, 150_000),
+        "two-term": (make_model(), None, grid, 100_000),
+        "zero-rate": (make_model(spdc_rate_hz=0.0, lum_rate_hz=0.0), None,
+                      grid, 1000),
+        # 271 rows, not a multiple of the block's rows
+        "wavelength-grid": (make_model(),
+                            WavelengthGrid(450.0, 620.0, 1.0).centers(),
+                            time_grid(-2.0, 8.0, 0.037), 100_000),
+        "criterion-7": _criterion_7_case(),
+    }[case]
+    img = synthesize(model, wl, t, exposure=exposure, seed=104)
+    rows = max(1, synth.BLOCK_BINS // img.counts.shape[1])
+    assert img.counts.shape[0] > rows
+    assert img.counts.shape[0] % rows != 0
+    want = np.random.default_rng(104).poisson(
+        expected_counts(model, wl, t, exposure=exposure))
+    assert img.counts.dtype == want.dtype
+    assert img.counts.tobytes() == want.tobytes()
+
+
+def test_synthesize_holds_one_image_buffer():
+    # the means and the counts share one buffer: the peak of a criterion-7
+    # synthesis stays near one image's bytes
+    import tracemalloc
+
+    model, wl, t, exposure = _criterion_7_case()
+    tracemalloc.start()
+    try:
+        img = synthesize(model, wl, t, exposure=exposure, seed=104)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * img.counts.nbytes
+
+
+def test_expected_total_limit_before_allocation():
+    # 20001 x 401 bins (64 MB) whose expected total passes 2**62: refused
+    # from the separable factors, before the image buffer exists (the time
+    # masses' kernel temporaries take ~16 MB)
+    import tracemalloc
+
+    from spdclum.synth import MAX_TOTAL_COUNTS
+
+    model = make_model()
+    t = time_grid(-2.0, 8.0, 0.0005)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="lower synth.exposure"):
+            synthesize(model, None, t, exposure=10**17, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * t.size * 401 * 8
+    # the limit sits where the image total passes it
+    small = time_grid(-2.0, 8.0, 0.05)
+    limit = MAX_TOTAL_COUNTS / expected_counts(model, None, small,
+                                               exposure=1).sum()
+    below = expected_counts(model, None, small, exposure=int(0.99 * limit))
+    assert 0.98 * MAX_TOTAL_COUNTS < below.sum() < MAX_TOTAL_COUNTS
+    with pytest.raises(ValueError, match="lower synth.exposure"):
+        expected_counts(model, None, small, exposure=int(1.01 * limit))
