@@ -320,6 +320,18 @@ def spectral_bin_masses(profile: SpectralProfile, grid: WavelengthGrid,
     return np.diff(f[2:]) / span
 
 
+def decay_bin_masses(decay: DecayModel, edges, sigma: float,
+                     period: float) -> np.ndarray:
+    """Share of a period's decay mass between consecutive time edges, with
+    pile-up and a Gaussian IRF of width sigma: sum(a_i * periodic mass_i)
+    over sum(a_i * tau_i)."""
+    mass = np.zeros(np.size(edges) - 1)
+    for a, tau in decay.components:
+        mass = mass + a * kernels.periodic_decay_mass(edges, tau, sigma,
+                                                      period)
+    return mass / decay.mean_mass_ns
+
+
 def band_mass(profile: SpectralProfile, grid: WavelengthGrid,
               band: tuple[float, float]) -> float:
     """Integral of the normalized density over `band`, clipped to the grid:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .emission import EmissionModel, band_mass
+from .emission import EmissionModel, band_mass, decay_bin_masses
 from .herald import fidelity_from_snr
 
 POLARIZER_AXES = ("aligned_to_spdc", "orthogonal")
@@ -125,8 +125,9 @@ class TemporalGate:
     The gate interval is [latency - window/2, latency + window/2] in time
     relative to the trigger, so a zero-latency gate much wider than the IRF
     transmits the whole SPDC pulse.  Luminescence transmission is the in-gate
-    share of the decay including pile-up at the gate's repetition rate; the
-    interval must fit within one period on either side of the trigger.
+    share of the decay including pile-up at the gate's repetition rate
+    (emission.decay_bin_masses without IRF blur); the interval must fit
+    within one period on either side of the trigger.
     """
 
     window_ns: float
@@ -155,19 +156,13 @@ class TemporalGate:
         return (self.latency_ns - half, self.latency_ns + half)
 
     def spdc_factor(self, model: EmissionModel) -> float:
-        lo, hi = self.interval_ns
         sigma = kernels.FWHM_TO_SIGMA * model.lum_decay.irf_fwhm_ns
-        return float(kernels.gaussian_cdf(hi, sigma)
-                     - kernels.gaussian_cdf(lo, sigma))
+        below_lo, below_hi = kernels.gaussian_cdf(self.interval_ns, sigma)
+        return float(below_hi - below_lo)
 
     def lum_factor(self, model: EmissionModel) -> float:
-        lo, hi = self.interval_ns
-        period = self.period_ns
-        mass = 0.0
-        for amp, tau in model.lum_decay.components:
-            mass += amp * kernels.periodic_decay_mass(lo, hi, tau, 0.0,
-                                                      period)
-        return mass / model.lum_decay.mean_mass_ns
+        return float(decay_bin_masses(model.lum_decay, self.interval_ns, 0.0,
+                                      self.period_ns)[0])
 
 
 FilterSpec = Polarizer | LongpassFilter | BandpassFilter | TemporalGate

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -365,18 +365,14 @@ class DecayDesign:
                         grid_sizes[self.n])
         return [tuple(c) for c in itertools.combinations(g, self.n)]
 
-    def initial_theta(self, taus: Sequence[float]) -> np.ndarray:
-        """Seed amplitudes (and baseline) by nonnegative least squares."""
-        return self.best_start([taus])
-
     def best_start(self, starts) -> np.ndarray:
-        """initial_theta of the lifetime start whose seed fits best."""
+        """The seeded parameters of the lifetime start whose seed fits best."""
         thetas, objectives = self._seeds(starts)
         return thetas[int(np.argmin(objectives))]
 
     def _seeds(self, starts):
-        """initial_theta of every lifetime start, a row each, and its
-        objective.
+        """Parameters of every lifetime start, seeded by nonnegative least
+        squares, a row each, and its objective.
 
         One kernel call gives a column per distinct lifetime, from which
         nnls_supports seeds every start.  The objectives come from the

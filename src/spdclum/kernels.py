@@ -11,9 +11,9 @@ exactly instead of through discrete convolution grids.  The convolution is
 which is evaluated through erfcx to stay finite for every argument size.
 The module exposes only what the model integrates: the Gaussian's and the
 convolution's masses (the latter with its gradient, whose dF/dt is the
-kernel itself) and the steady-state mass under pulsed excitation.  The
-Gaussian CDF also gives the wavelength masses, through
-emission.SpectralProfile.cdf.
+kernel itself) and the steady-state masses under pulsed excitation, each a
+CDF difference on one edge array.  The Gaussian CDF also gives the
+wavelength masses, through emission.SpectralProfile.cdf.
 erfcx and the Gaussian CDF come from Cody's rational approximations in NumPy.
 """
 
@@ -202,33 +202,27 @@ def exp_conv_gauss_cdf_grad(t, tau, sigma: float):
     return tuple(restore(p) for p in parts)
 
 
-def _check_within_period(values, period):
-    if values.size and (values.min() < -period or values.max() > period):
-        raise ValueError("times must lie within one period of the pulse")
-
-
-def periodic_decay_mass(a, b, tau: float, sigma: float, period: float):
-    """Steady-state kernel mass over [a, b] under pulsed excitation.
+def periodic_decay_mass(edges, tau: float, sigma: float, period: float):
+    """Steady-state kernel mass between consecutive edges under pulsed
+    excitation: n masses from a 1-d array of n + 1 edges.
 
     The steady-state kernel is the sum over all pulse repetitions j of the
-    kernel at s - j*period, exactly periodic in s; bounds must lie within
+    kernel at s - j*period, exactly periodic in s; edges must lie within
     one period of the pulse.  The pulses one period either side are summed
     directly, the older ones as a geometric series.  The per-period
-    integral (b - a = period) is exactly tau: wrapping conserves the
+    integral (edges a period apart) is exactly tau: wrapping conserves the
     single-pulse mass.  Raises ValueError where the pile-up tail overflows,
     which takes an IRF far wider than tau.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
-    a_arr, restore = _prepare(a)
-    b_arr, _ = _prepare(b)
-    _check_within_period(a_arr, period)
-    _check_within_period(b_arr, period)
-    # this pulse and the pulses one period either side, in one kernel call
-    f = exp_conv_gauss_cdf(np.stack(np.broadcast_arrays(
-        *[v + s for s in (0.0, period, -period) for v in (b_arr, a_arr)])),
-        tau, sigma)
-    out = f[0] - f[1] + f[2] - f[3] + f[4] - f[5]
+    e = np.asarray(edges, dtype=float)
+    if e.size and (e.min() < -period or e.max() > period):
+        raise ValueError("times must lie within one period of the pulse")
+    # this pulse and the pulses one period back and ahead, in one kernel call
+    f = exp_conv_gauss_cdf(np.stack([e, e + period, e - period]), tau, sigma)
+    out = (f[0, 1:] - f[0, :-1] + f[1, 1:] - f[1, :-1]
+           + f[2, 1:] - f[2, :-1])
     # pulses two or more periods back sum to exp(off - s/tau) / (1 - q)
     # with q = exp(-period/tau); skipped once q underflows
     x = period / tau
@@ -236,15 +230,15 @@ def periodic_decay_mass(a, b, tau: float, sigma: float, period: float):
         off = sigma**2 / (2.0 * tau**2) - 2.0 * x
         coeff = 1.0 / (1.0 - np.exp(-x))
         with np.errstate(over="ignore", invalid="ignore"):
-            tail = coeff * tau * (np.exp(off - a_arr / tau)
-                                  - np.exp(off - b_arr / tau))
+            g = np.exp(off - e / tau)
+            tail = coeff * tau * (g[:-1] - g[1:])
         # exp overflows once sigma^2/(2 tau^2) - period/tau passes ~709
         if not np.all(np.isfinite(tail)):
             raise ValueError(
                 f"pile-up sum overflows: IRF sigma {sigma:g} ns is too wide "
                 f"for lifetime {tau:g} ns at pulse period {period:g} ns")
         out = out + tail
-    return restore(out)
+    return out
 
 
 def edges_from_centers(centers):

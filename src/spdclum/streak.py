@@ -56,8 +56,9 @@ class StreakImage:
     """Wavelength-time histogram of photon counts.
 
     counts has shape (n_time, n_wavelength); both axes store bin centers and
-    increase strictly.  metadata carries flat string pairs (seed, exposure,
-    model hash, warnings) and survives the CSV round trip.
+    increase strictly; the counts' total fits in int64.  metadata carries
+    flat string pairs (seed, exposure, model hash, warnings) and survives
+    the CSV round trip.
     """
 
     counts: np.ndarray
@@ -91,7 +92,11 @@ class StreakImage:
                 raise ValueError(f"{name} axis must be finite")
         if int(self.exposure) < 1:
             raise ValueError("exposure must be at least one pulse")
-        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
+        counts = counts.astype(np.int64, copy=False)
+        # every count fits in int64, their total need not: sums would wrap
+        if not _total_fits_int64(counts):
+            raise ValueError("total counts do not fit in a 64-bit integer")
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "wavelength_axis_nm", wl)
         object.__setattr__(self, "time_axis_ns", t)
         object.__setattr__(self, "exposure", int(self.exposure))
@@ -144,8 +149,12 @@ def write_trace_csv(path, time_ns, values, metadata=None,
     """Serialize a 1-d time trace (``# decay-trace/v1`` header).
 
     Same metadata conventions as the streak format; one ``time_ns,<value>``
-    row per bin.  Deterministic bytes.
+    row per bin.  Deterministic bytes.  A value column name that would
+    split the header row is refused.
     """
+    if set(value_column) & set(",\r\n"):
+        raise ValueError(f"value column name {value_column!r} must hold no "
+                         "comma or line break")
     time_ns = np.asarray(time_ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if time_ns.shape != values.shape or time_ns.ndim != 1:
@@ -315,9 +324,6 @@ def read_streak_csv(path) -> StreakImage:
         raise StreakParseError("no image data found")
     times, counts = (_parse_count_block(rows, wavelengths.size)
                      or _parse_rows(rows, wavelengths.size))
-    # every count fits in int64, their total need not: sums would wrap
-    if not _total_fits_int64(counts):
-        raise StreakParseError("total counts do not fit in a 64-bit integer")
     exposure = metadata.pop("exposure", None)
     if exposure is None:
         raise StreakParseError("missing '# exposure = N' metadata")

@@ -8,9 +8,10 @@ The expectation is separable:
 with T = exposure / repetition_rate the live integration time, G the IRF
 kernel mass in the time bin, D the decay mass (IRF-convolved, pile-up
 corrected and normalized per pulse period), and S the spectral density mass in
-the wavelength bin.  Both are closed forms: time masses from kernels,
-wavelength masses from emission.spectral_bin_masses, the spectral CDF
-differences that also give the filters their band masses.  A term whose rate
+the wavelength bin.  Both are closed forms, CDF differences on one edge array
+per axis: G from kernels.gaussian_cdf, D from emission.decay_bin_masses (the
+temporal gate's luminescence share with the IRF width set to 0), and S from
+emission.spectral_bin_masses (the filters' band masses).  A term whose rate
 is zero evaluates neither mass.  The image total follows from the factors
 alone, so an expectation beyond MAX_TOTAL_COUNTS is refused before any
 image-sized allocation: 2**62 keeps the int64 total of the Poisson counts
@@ -30,8 +31,8 @@ import hashlib
 import numpy as np
 
 from . import kernels
-from .emission import (EmissionModel, model_fingerprint, spectral_bin_masses,
-                       uniform_bin_count)
+from .emission import (EmissionModel, decay_bin_masses, model_fingerprint,
+                       spectral_bin_masses, uniform_bin_count)
 from .streak import StreakImage
 
 MAX_IMAGE_BINS = 50_000_000  # time x wavelength bins in one image
@@ -47,15 +48,6 @@ def time_grid(min_ns: float, max_ns: float, step_ns: float) -> np.ndarray:
         raise ValueError("time max must exceed min")
     return min_ns + step_ns * np.arange(
         uniform_bin_count(min_ns, max_ns, step_ns, "time"))
-
-
-def _decay_mass(model: EmissionModel, s: np.ndarray, sigma: float):
-    """Per-time-bin mass of the normalized decay between edges s."""
-    lum = np.zeros(s.size - 1)
-    for a, tau in model.lum_decay.components:
-        lum = lum + a * kernels.periodic_decay_mass(s[:-1], s[1:], tau, sigma,
-                                                    model.pump.period_ns)
-    return lum / model.lum_decay.mean_mass_ns
 
 
 def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
@@ -84,7 +76,8 @@ def _expected(model: EmissionModel, t_edges: np.ndarray, lam_edges: np.ndarray,
                  (model.spdc_rate_hz,
                   lambda: np.diff(kernels.gaussian_cdf(s, sigma)),
                   model.spdc_spectrum),
-                 (model.lum_rate_hz, lambda: _decay_mass(model, s, sigma),
+                 (model.lum_rate_hz,
+                  lambda: decay_bin_masses(model.lum_decay, s, sigma, period),
                   model.lum_spectrum))
              if rate != 0.0]
     # the image total from the separable factors, before any allocation

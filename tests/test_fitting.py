@@ -90,7 +90,7 @@ def test_jacobian_matches_residual_differences():
          (1000.0, 8000.0)),
     )
     for design, taus in cases:
-        theta = design.initial_theta(taus)
+        theta = design.best_start([taus])
         jac = design.jacobian(theta)
         for i in range(theta.size):
             # the model is an antiderivative difference, so too small a step
@@ -240,7 +240,7 @@ def test_ranked_start_matches_multistart():
         design = DecayDesign(t, y, n, irf_fwhm_ns=irf)
         lo, hi = design.bounds()
         ladder = [least_squares(design.residuals,
-                                np.clip(design.initial_theta(taus), lo, hi),
+                                np.clip(design.best_start([taus]), lo, hi),
                                 jac=design.jacobian, bounds=(lo, hi),
                                 method="trf", x_scale="jac",
                                 max_nfev=300 * design.n_params)
@@ -624,7 +624,7 @@ def test_kernel_memo_never_serves_a_stale_point(case):
     # design's, so the memo key covers t0, every lifetime and the IRF width
     make, taus = _memo_cases()[case]
     design = make()
-    theta1 = design.initial_theta(taus)
+    theta1 = design.best_start([taus])
     for i in range(theta1.size):
         theta2 = theta1.copy()
         theta2[i] = theta1[i] * 1.01 + 1e-3

@@ -115,21 +115,24 @@ def test_gaussian_cdf_sigma_zero_step():
 
 def test_periodic_mass_single_period_is_tau():
     period = 1000.0
-    mass = kernels.periodic_decay_mass(-period / 2, period / 2, 1850.0,
+    mass = kernels.periodic_decay_mass([-period / 2, period / 2], 1850.0,
                                        0.0, period)
     # steady-state: every period collects exactly one pulse's integral
-    assert mass == pytest.approx(1850.0, rel=1e-9)
+    assert mass.shape == (1,)
+    assert mass[0] == pytest.approx(1850.0, rel=1e-9)
 
 
 def test_periodic_mass_oracle_values():
     # gate [-5, 5] ns, tau = 0.73 ns, 1 kHz: no pile-up contribution
-    frac = kernels.periodic_decay_mass(-5.0, 5.0, 0.73, 0.0, 1e6) / 0.73
+    frac = kernels.periodic_decay_mass([-5.0, 5.0], 0.73, 0.0, 1e6)[0] / 0.73
     assert frac == pytest.approx(0.99893981840393962, rel=1e-12)
     # same gate, tau = 1850 ns at 100 kHz: pile-up raises the in-gate share
-    frac2 = kernels.periodic_decay_mass(-5.0, 5.0, 1850.0, 0.0, 1e4) / 1850.0
+    frac2 = kernels.periodic_decay_mass([-5.0, 5.0], 1850.0, 0.0,
+                                        1e4)[0] / 1850.0
     assert frac2 == pytest.approx(0.0027234456335098377, rel=1e-12)
     # and without pile-up the share is smaller
-    frac3 = kernels.periodic_decay_mass(-5.0, 5.0, 1850.0, 0.0, 1e9) / 1850.0
+    frac3 = kernels.periodic_decay_mass([-5.0, 5.0], 1850.0, 0.0,
+                                        1e9)[0] / 1850.0
     assert frac3 == pytest.approx(0.0026990536898923045, rel=1e-9)
     assert frac2 > frac3
 
@@ -139,18 +142,55 @@ def test_periodic_mass_positive_and_periodic():
     # the bins at -period and +period need the pulses one period either side
     tau, sigma, period, width = 1850.0, SIGMA_015, 1e4, 1.0
     for lo in (-period, -period / 2, -width):
-        left = kernels.periodic_decay_mass(lo, lo + width, tau, sigma, period)
-        right = kernels.periodic_decay_mass(lo + period, lo + period + width,
-                                            tau, sigma, period)
+        left = kernels.periodic_decay_mass([lo, lo + width], tau, sigma,
+                                           period)[0]
+        right = kernels.periodic_decay_mass(
+            [lo + period, lo + period + width], tau, sigma, period)[0]
         assert left > 0.0
         assert left == pytest.approx(right, rel=1e-9), lo
 
 
 def test_periodic_outside_period_rejected():
     with pytest.raises(ValueError):
-        kernels.periodic_decay_mass(0.0, 2e4, 1850.0, 0.0, 1e4)
+        kernels.periodic_decay_mass([0.0, 2e4], 1850.0, 0.0, 1e4)
     with pytest.raises(ValueError):
-        kernels.periodic_decay_mass(-2e4, 0.0, 1850.0, 0.0, 1e4)
+        kernels.periodic_decay_mass([-2e4, 0.0], 1850.0, 0.0, 1e4)
+    with pytest.raises(ValueError):
+        kernels.periodic_decay_mass([-5.0, 0.0, 1e4 + 1.0], 1850.0, 0.0, 1e4)
+
+
+def _six_row_masses(edges, tau, sigma, period):
+    """The per-interval form: the kernel CDF at both bounds of every bin
+    for this pulse and the pulses one period back and ahead, and the tail
+    of older pulses from one exponential per bound."""
+    a, b = edges[:-1], edges[1:]
+    f = kernels.exp_conv_gauss_cdf(np.stack(
+        [b, a, b + period, a + period, b - period, a - period]), tau, sigma)
+    out = f[0] - f[1] + f[2] - f[3] + f[4] - f[5]
+    x = period / tau
+    if x <= 690.0:
+        off = sigma**2 / (2.0 * tau**2) - 2.0 * x
+        coeff = 1.0 / (1.0 - np.exp(-x))
+        out = out + coeff * tau * (np.exp(off - a / tau)
+                                   - np.exp(off - b / tau))
+    return out
+
+
+@pytest.mark.parametrize("sigma",
+                         [0.0, SIGMA_015, kernels.FWHM_TO_SIGMA * 2.0],
+                         ids=["bare", "irf0.15", "irf2"])
+@pytest.mark.parametrize("rate_hz", [10.0, 1e3, 1e5, 1e7])
+def test_periodic_mass_matches_per_interval_form(sigma, rate_hz):
+    # one edge array gives, bit for bit, the masses of the six-row form
+    period = 1e9 / rate_hz
+    edge_sets = (np.linspace(-period, 0.0, 201), np.linspace(0.0, period, 201),
+                 np.linspace(-period / 2, period / 2, 1001),
+                 np.linspace(-2.0, 8.0, 201), np.array([-period, period]))
+    for tau in (0.73, 1850.0, 9950.0):
+        for edges in edge_sets:
+            got = kernels.periodic_decay_mass(edges, tau, sigma, period)
+            want = _six_row_masses(edges, tau, sigma, period)
+            assert got.tobytes() == want.tobytes(), (tau, edges[[0, -1]])
 
 
 def _central(fn, x, h):
@@ -203,7 +243,7 @@ def test_periodic_pileup_overflow_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as err:
-            kernels.periodic_decay_mass(-40.0, 40.0, 0.73, sigma, 100.0)
+            kernels.periodic_decay_mass([-40.0, 40.0], 0.73, sigma, 100.0)
     message = str(err.value)
     assert "pile-up" in message
     assert f"IRF sigma {sigma:g} ns" in message

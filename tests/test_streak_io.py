@@ -131,6 +131,16 @@ def test_trace_roundtrip(tmp_path):
     assert meta["kind"] == "test"
 
 
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", ","])
+def test_trace_writer_refuses_unreadable_column_name(tmp_path, name):
+    # the header row would split into more fields or lines than the reader
+    # takes, so the writer refuses the name before writing anything
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="comma or line break"):
+        write_trace_csv(path, [0.0, 1.0], [2.0, 3.0], value_column=name)
+    assert not path.exists()
+
+
 def test_trace_parse_errors(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("time_ns,counts\n1.0,2.0,3.0\n")
@@ -204,6 +214,17 @@ def test_count_total_must_fit_int64(tmp_path, counts, fits):
         with pytest.raises(StreakParseError,
                            match="total counts do not fit in a 64-bit integer"):
             read_streak_csv(path)
+
+
+def test_in_memory_count_total_must_fit_int64():
+    # an int64 sum of sixteen counts of 2**61 wraps to 0; the constructor
+    # judges the exact total, as the reader does
+    axes = ([500.0, 501.0, 502.0, 503.0], [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError,
+                       match="total counts do not fit in a 64-bit integer"):
+        StreakImage(np.full((4, 4), 2**61), *axes, exposure=1)
+    assert StreakImage(np.full((4, 4), 2**58), *axes,
+                       exposure=1).total_counts == 2**62
 
 
 def test_parse_error_binary_file(tmp_path):

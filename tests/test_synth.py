@@ -129,6 +129,30 @@ def test_zero_rate_term_evaluates_no_temporal_kernel(monkeypatch, term):
     assert synthesize(model, None, grid, exposure=1000, seed=2).counts.sum() > 0
 
 
+@pytest.mark.parametrize("rate_hz", [10.0, 1e3])
+def test_decay_masses_take_one_kernel_call_per_component(monkeypatch,
+                                                         rate_hz):
+    # each lifetime's time masses come from the kernel CDF on one stack of
+    # the n + 1 edges for this pulse and the pulses one period back and
+    # ahead: 3 rows of n + 1 points, not 6 rows of n bin bounds
+    from spdclum import kernels
+
+    cdf, shapes = kernels.exp_conv_gauss_cdf, []
+
+    def recording_cdf(t, tau, sigma):
+        shapes.append(np.shape(t))
+        return cdf(t, tau, sigma)
+
+    model = make_model(spdc_rate_hz=0.0, repetition_rate_hz=rate_hz)
+    grid = time_grid(-2.0, 8.0, 0.05)
+    want = expected_counts(model, None, grid, exposure=1000)
+    monkeypatch.setattr(kernels, "exp_conv_gauss_cdf", recording_cdf)
+    got = expected_counts(model, None, grid, exposure=1000)
+    assert np.array_equal(got, want)
+    n_components = len(model.lum_decay.lifetimes_ns)
+    assert shapes == [(3, grid.size + 1)] * n_components
+
+
 def test_synthesize_deterministic_and_seed_sensitive():
     model = make_model()
     tg = time_grid(-2.0, 8.0, 0.1)
