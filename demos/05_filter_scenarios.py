@@ -48,7 +48,7 @@ def main():
     # the same budget from an explicit chain: polarizer, band, gate
     chain = FilterChain((Polarizer("aligned_to_spdc"),
                          BandpassFilter(534.0, 20.0, peak_transmission=1.0),
-                         TemporalGate(10.0, 1000.0)))
+                         TemporalGate(10.0)))
     keep_s = transmit_spdc(chain, model)
     keep_l = transmit_luminescence(chain, model)
     print("polarizer + 534/20 bandpass + 10 ns gate:")

@@ -118,8 +118,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
                        seed=cfg.get("seed"), t0=cfg.get("synth.t0_ns"))
     path = os.path.join(_prepare_out(cfg), "streak.csv")
     write_streak_csv(image, path)
-    alert = repetition_rate_alert(model.pump.repetition_rate_hz,
-                                  model.lum_decay)
+    alert = repetition_rate_alert(model)
     print(f"wrote {path}: {image.counts.shape[0]} time x "
           f"{image.counts.shape[1]} wavelength bins, "
           f"{image.total_counts} counts, seed {cfg.get('seed')}")

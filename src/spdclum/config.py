@@ -30,8 +30,8 @@ import re
 from dataclasses import dataclass
 
 from .emission import WavelengthGrid, make_model
-from .filters import (BandpassFilter, FilterChain, LongpassFilter, Polarizer,
-                      ScenarioSpec, TemporalGate)
+from .filters import (POLARIZER_AXES, BandpassFilter, FilterChain,
+                      LongpassFilter, Polarizer, ScenarioSpec, TemporalGate)
 from .herald import HeraldParams
 
 ENV_PREFIX = "SPDCLUM_"
@@ -192,22 +192,21 @@ REGISTRY: dict[str, KeySpec] = {
 
 # Numbered groups: filter.N.* and scenario.N.*, as member keys in
 # serialization order.  A member that is neither optional nor defaulted is
-# required.  Per filter kind: its class and members.
+# required.  Per filter kind: its class and members; member defaults are
+# the filter classes' own.
 _FILTER_KINDS = {
     "polarizer": (Polarizer, {
-        "axis": _k("str", "aligned_to_spdc",
-                   choices=("aligned_to_spdc", "orthogonal"))}),
+        "axis": _k("str", Polarizer.axis, choices=POLARIZER_AXES)}),
     "longpass": (LongpassFilter, {
         "cutoff_nm": _k("float", None),
-        "transmission": _k("float", 0.95)}),
+        "transmission": _k("float", LongpassFilter.transmission)}),
     "bandpass": (BandpassFilter, {
         "center_nm": _k("float", None),
         "fwhm_nm": _k("float", None),
-        "peak_transmission": _k("float", 0.95)}),
+        "peak_transmission": _k("float", BandpassFilter.peak_transmission)}),
     "temporal_gate": (TemporalGate, {
         "window_ns": _k("float", None),
-        "repetition_rate_hz": _k("float", None),
-        "latency_ns": _k("float", 0.0)}),
+        "latency_ns": _k("float", TemporalGate.latency_ns)}),
 }
 
 _SCENARIO_MEMBERS = {

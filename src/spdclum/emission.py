@@ -68,26 +68,21 @@ def spdc_center_wavelength(pump: PumpConfig) -> float:
 class SpectralProfile:
     """Normalized spectral density shape.
 
-    kind "spdc_gaussian" is a symmetric bell with the given FWHM (skew must
-    be 0).  kind "luminescence_skewed" is a log-normal-style peak: mode at
-    center_nm, realized FWHM equal to fwhm_nm, and a heavier tail toward long
-    wavelengths for skew > 0 (skew = 0 recovers the symmetric bell).
+    skew = 0 is a symmetric bell with the given FWHM (the SPDC line).  skew
+    > 0 is a log-normal-style peak (the luminescence): mode at center_nm,
+    realized FWHM equal to fwhm_nm, and a heavier tail toward long
+    wavelengths.
     """
 
-    kind: str
     center_nm: float
     fwhm_nm: float
     skew: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("spdc_gaussian", "luminescence_skewed"):
-            raise ValueError(f"unknown spectral profile kind {self.kind!r}")
         if self.fwhm_nm <= 0.0:
             raise ValueError("spectral FWHM must be positive")
         if self.skew < 0.0:
             raise ValueError("skew must be nonnegative")
-        if self.kind == "spdc_gaussian" and self.skew != 0.0:
-            raise ValueError("spdc_gaussian profile cannot be skewed")
 
     def shape(self, wavelength_nm) -> np.ndarray:
         """Unnormalized shape (peak value 1 at center_nm)."""
@@ -200,8 +195,8 @@ class EmissionModel:
     """
 
     pump: PumpConfig = PumpConfig()
-    spdc_spectrum: SpectralProfile = SpectralProfile("spdc_gaussian", 534.0, 10.0)
-    lum_spectrum: SpectralProfile = SpectralProfile("luminescence_skewed", 430.0, 60.0, 0.4)
+    spdc_spectrum: SpectralProfile = SpectralProfile(534.0, 10.0)
+    lum_spectrum: SpectralProfile = SpectralProfile(430.0, 60.0, 0.4)
     lum_decay: DecayModel = DecayModel()
     spdc_rate_hz: float = 1.0e5
     lum_rate_hz: float = 6.036e4
@@ -214,10 +209,8 @@ class EmissionModel:
             raise ValueError(
                 f"SPDC spectrum center {self.spdc_spectrum.center_nm} nm must "
                 f"equal twice the pump wavelength ({center} nm)")
-        if self.spdc_spectrum.kind != "spdc_gaussian":
-            raise ValueError("spdc_spectrum must be of kind spdc_gaussian")
-        if self.lum_spectrum.kind != "luminescence_skewed":
-            raise ValueError("lum_spectrum must be of kind luminescence_skewed")
+        if self.spdc_spectrum.skew != 0.0:
+            raise ValueError("the SPDC line cannot be skewed")
         if self.spdc_rate_hz < 0.0 or self.lum_rate_hz < 0.0:
             raise ValueError("rates must be nonnegative")
 
@@ -242,10 +235,9 @@ def make_model(
     pump = PumpConfig(pump_wavelength_nm, repetition_rate_hz)
     return EmissionModel(
         pump=pump,
-        spdc_spectrum=SpectralProfile("spdc_gaussian",
-                                      spdc_center_wavelength(pump), spdc_fwhm_nm),
-        lum_spectrum=SpectralProfile("luminescence_skewed",
-                                     lum_center_nm, lum_fwhm_nm, lum_skew),
+        spdc_spectrum=SpectralProfile(spdc_center_wavelength(pump),
+                                      spdc_fwhm_nm),
+        lum_spectrum=SpectralProfile(lum_center_nm, lum_fwhm_nm, lum_skew),
         lum_decay=DecayModel(tuple(amplitudes), tuple(lifetimes_ns), irf_fwhm_ns),
         spdc_rate_hz=spdc_rate_hz,
         lum_rate_hz=lum_rate_hz,

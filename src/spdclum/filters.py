@@ -20,7 +20,7 @@ on emission.retarget_pump(model, wavelength) per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernels
 from .emission import EmissionModel, band_mass, decay_bin_masses
@@ -120,35 +120,22 @@ class BandpassFilter:
 
 @dataclass(frozen=True)
 class TemporalGate:
-    """Detection gate centered on the pulse arrival.
+    """Detection gate centered on the pulse arrival, once per pump pulse.
 
     The gate interval is [latency - window/2, latency + window/2] in time
     relative to the trigger, so a zero-latency gate much wider than the IRF
     transmits the whole SPDC pulse.  Luminescence transmission is the in-gate
-    share of the decay including pile-up at the gate's repetition rate
+    share of the decay including pile-up at the pump's repetition rate
     (emission.decay_bin_masses without IRF blur); the interval must fit
-    within one period on either side of the trigger.
+    within one pump period on either side of the trigger.
     """
 
     window_ns: float
-    repetition_rate_hz: float
-    latency_ns: float = 0.0
+    latency_ns: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
         if self.window_ns <= 0.0:
             raise ValueError("gate window must be positive")
-        if self.repetition_rate_hz <= 0.0:
-            raise ValueError("repetition rate must be positive")
-        period = self.period_ns
-        lo, hi = self.interval_ns
-        if lo < -period or hi > period:
-            raise ValueError(
-                f"gate [{lo:g}, {hi:g}] ns does not fit within one pulse "
-                f"period ({period:g} ns) around the trigger")
-
-    @property
-    def period_ns(self) -> float:
-        return 1e9 / self.repetition_rate_hz
 
     @property
     def interval_ns(self) -> tuple[float, float]:
@@ -161,8 +148,14 @@ class TemporalGate:
         return float(below_hi - below_lo)
 
     def lum_factor(self, model: EmissionModel) -> float:
+        period = model.pump.period_ns
+        lo, hi = self.interval_ns
+        if lo < -period or hi > period:
+            raise ValueError(
+                f"gate [{lo:g}, {hi:g}] ns does not fit within one pulse "
+                f"period ({period:g} ns) around the trigger")
         return float(decay_bin_masses(model.lum_decay, self.interval_ns, 0.0,
-                                      self.period_ns)[0])
+                                      period)[0])
 
 
 FilterSpec = Polarizer | LongpassFilter | BandpassFilter | TemporalGate
@@ -216,9 +209,6 @@ def transmit_luminescence(chain: FilterChain, model: EmissionModel) -> float:
 class RateAlert:
     """Pile-up guidance for a pulsed measurement."""
 
-    repetition_rate_hz: float
-    period_ns: float
-    slowest_lifetime_ns: float
     ok: bool
     message: str
 
@@ -229,12 +219,10 @@ class RateAlert:
 MIN_PERIODS = 5.0
 
 
-def repetition_rate_alert(repetition_rate_hz: float, decay) -> RateAlert:
-    """Flag repetition rates whose period crowds the slowest decay."""
-    if repetition_rate_hz <= 0.0:
-        raise ValueError("repetition rate must be positive")
-    period = 1e9 / repetition_rate_hz
-    slowest = max(decay.lifetimes_ns)
+def repetition_rate_alert(model: EmissionModel) -> RateAlert:
+    """Flag a pump whose period crowds the slowest decay."""
+    period = model.pump.period_ns
+    slowest = max(model.lum_decay.lifetimes_ns)
     ok = period >= MIN_PERIODS * slowest
     if ok:
         message = (f"period {period:g} ns covers {period / slowest:.2f} "
@@ -243,7 +231,7 @@ def repetition_rate_alert(repetition_rate_hz: float, decay) -> RateAlert:
         message = (f"period {period:g} ns is below {MIN_PERIODS:g} x slowest "
                    f"lifetime ({slowest:g} ns): previous-pulse pile-up will "
                    f"not have decayed")
-    return RateAlert(repetition_rate_hz, period, slowest, ok, message)
+    return RateAlert(ok, message)
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,7 @@ class DecayDesign:
         if irf_fwhm_ns is not None and irf_fwhm_ns < 0:
             raise ValueError("IRF FWHM must be nonnegative")
         if fit_t0 is None:
-            fit_t0 = irf_fwhm_ns is not None
+            fit_t0 = bool(irf_fwhm_ns)
         if fit_t0 and not irf_fwhm_ns:
             raise ValueError("t0 can only be fitted with a nonzero IRF width")
         if fit_irf and not irf_fwhm_ns:
@@ -422,8 +422,9 @@ def fit_multiexp(time_ns, counts, n_components: int,
     n_components : int
         Number of exponentials, 1 to 3.
     irf_fwhm_ns : float or None
-        Known IRF width to convolve into the model; None fits bare
-        exponentials (appropriate when the IRF is far below the bin width).
+        Known IRF width to convolve into the model; None or 0 fits bare
+        exponentials with t0 fixed (appropriate when the IRF is far below
+        the bin width).
     baseline_mode : str
         "free" floats a constant background, "zero" pins it.
 

@@ -71,12 +71,16 @@ class StreakImage:
         counts = np.asarray(self.counts)
         if counts.ndim != 2:
             raise ValueError("counts must be a 2-d array")
-        if not np.issubdtype(counts.dtype, np.integer):
+        if counts.dtype.kind not in "iu":
             if not np.all(counts == np.floor(counts)):
                 raise ValueError("counts must be integers")
-            counts = counts.astype(np.int64)
         if counts.min(initial=0) < 0:
             raise ValueError("counts must be nonnegative")
+        # unsigned and float counts are range-checked, exactly as Python
+        # numbers, before the int64 cast would wrap them or warn
+        if (counts.dtype.kind != "i"
+                and not counts.max(initial=0).item() <= _INT64_MAX):
+            raise ValueError("counts must fit in a 64-bit integer")
         wl = np.asarray(self.wavelength_axis_nm, dtype=float)
         t = np.asarray(self.time_axis_ns, dtype=float)
         if counts.shape != (t.size, wl.size):
@@ -129,12 +133,24 @@ class RegionOfInterest:
         object.__setattr__(self, "time_ns", (float(tlo), float(thi)))
 
 
+def _metadata_lines(metadata, reserved: tuple[str, ...] = ()) -> list[str]:
+    """``# key = value`` lines; ValueError for a pair the reader would not
+    give back: a line break, padding it trims, an empty, reserved or
+    '='-holding key."""
+    for key, value in metadata.items():
+        if (not key or "=" in key or key in reserved
+                or any("\n" in text or "\r" in text or text != text.strip()
+                       for text in (key, value))):
+            raise ValueError(f"metadata {key!r} = {value!r} would not read "
+                             "back unchanged")
+    return [f"# {key} = {metadata[key]}" for key in sorted(metadata)]
+
+
 def write_streak_csv(image: StreakImage, path) -> None:
-    """Serialize an image; byte-identical output for identical images."""
-    lines = ["# streak-image/v1"]
-    lines.append(f"# exposure = {image.exposure}")
-    for key in sorted(image.metadata):
-        lines.append(f"# {key} = {image.metadata[key]}")
+    """Serialize an image; byte-identical output for identical images.
+    Metadata that would not read back unchanged is refused."""
+    lines = ["# streak-image/v1", f"# exposure = {image.exposure}",
+             *_metadata_lines(image.metadata, reserved=("exposure",))]
     lines.append(",".join(_format_float(x) for x in image.wavelength_axis_nm))
     # %r of a Python float is _format_float, %d of a Python int is str()
     row = "%r," + ",".join(["%d"] * image.counts.shape[1])
@@ -150,7 +166,8 @@ def write_trace_csv(path, time_ns, values, metadata=None,
 
     Same metadata conventions as the streak format; one ``time_ns,<value>``
     row per bin.  Deterministic bytes.  A value column name that would
-    split the header row is refused.
+    split the header row, or metadata that would not read back unchanged,
+    is refused.
     """
     if set(value_column) & set(",\r\n"):
         raise ValueError(f"value column name {value_column!r} must hold no "
@@ -159,10 +176,7 @@ def write_trace_csv(path, time_ns, values, metadata=None,
     values = np.asarray(values, dtype=float)
     if time_ns.shape != values.shape or time_ns.ndim != 1:
         raise ValueError("time and value arrays must be equal-length 1-d")
-    lines = ["# decay-trace/v1"]
-    if metadata:
-        for key in sorted(metadata):
-            lines.append(f"# {key} = {metadata[key]}")
+    lines = ["# decay-trace/v1", *_metadata_lines(metadata or {})]
     lines.append(f"time_ns,{value_column}")
     for t, v in zip(time_ns, values):
         lines.append(f"{_format_float(t)},{_format_float(v)}")

@@ -134,6 +134,17 @@ def test_fit_trace_roundtrip(tmp_path, capsys):
     assert (fit_out / "residuals.csv").exists()
 
 
+def test_fit_zero_irf_is_the_bare_fit(tmp_path, capsys):
+    out = tmp_path / "img"
+    run(capsys, "synth", "--out", str(out), "--seed", "4",
+        "--exposure", "20000")
+    image = str(out / "streak.csv")
+    bare = run(capsys, "fit", image, "--band", "514,554")
+    zero = run(capsys, "fit", image, "--irf", "0", "--band", "514,554")
+    assert zero == bare
+    assert "lifetime" in bare[1]
+
+
 def test_fit_decay_trace_file(tmp_path, capsys):
     # a plain two-column trace is also accepted
     import numpy as np
@@ -344,6 +355,29 @@ def test_removed_model_keys_are_unknown(tmp_path, capsys, key):
     code, _, err = run(capsys, "herald", "--config", str(cfg))
     assert code == 2
     assert f"unknown key: {key}" in err
+
+
+_GATED = ["scenario", "--set", "filter.1.kind=temporal_gate",
+          "--set", "filter.1.window_ns=10", "--set", "scenario.1.use_chain=true"]
+
+
+def test_gate_runs_at_the_pump_rate(capsys):
+    code, out, _ = run(capsys, *_GATED, "--format", "csv",
+                       "--set", "pump.repetition_rate_hz=1e5")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["snr"] == "533.0967626088894"
+
+
+def test_gate_repetition_rate_key_is_unknown(tmp_path, capsys):
+    # the gate has no rate of its own: a config that still sets one fails
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("filter.1.kind = temporal_gate\nfilter.1.window_ns = 10\n"
+                   "filter.1.repetition_rate_hz = 1000\n")
+    code, _, err = run(capsys, "scenario", "--config", str(cfg))
+    assert code == 2
+    assert ("unknown key: filter.1.repetition_rate_hz (not a member of kind "
+            "temporal_gate)") in err
 
 
 def test_synth_pileup_overflow_exits_2(tmp_path, capsys):

@@ -117,7 +117,6 @@ def test_filter_groups():
         "filter.3.fwhm_nm": "20",
         "filter.4.kind": "temporal_gate",
         "filter.4.window_ns": "10",
-        "filter.4.repetition_rate_hz": "1000",
     }, environ={})
     chain = cfg.build_chain()
     kinds = [type(f) for f in chain]

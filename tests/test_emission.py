@@ -127,11 +127,10 @@ def test_band_mass_is_one_synthesis_bin():
 
 
 _SPECTRA = {
-    "spdc": SpectralProfile("spdc_gaussian", 534.0, 10.0),
-    "lum": SpectralProfile("luminescence_skewed", 430.0, 60.0, 0.4),
-    "lum-skew-1e-3": SpectralProfile("luminescence_skewed", 430.0, 60.0,
-                                     1e-3),
-    "lum-skew-1.5": SpectralProfile("luminescence_skewed", 430.0, 60.0, 1.5),
+    "spdc": SpectralProfile(534.0, 10.0),
+    "lum": SpectralProfile(430.0, 60.0, 0.4),
+    "lum-skew-1e-3": SpectralProfile(430.0, 60.0, 1e-3),
+    "lum-skew-1.5": SpectralProfile(430.0, 60.0, 1.5),
 }
 
 
@@ -236,17 +235,16 @@ def test_retarget_pump_moves_only_spdc():
 
 def test_emission_model_center_consistency_enforced():
     with pytest.raises(ValueError):
-        EmissionModel(spdc_spectrum=SpectralProfile("spdc_gaussian",
-                                                    500.0, 10.0))
+        EmissionModel(spdc_spectrum=SpectralProfile(500.0, 10.0))
 
 
 def test_spectral_profile_validation():
     with pytest.raises(ValueError):
-        SpectralProfile("spdc_gaussian", 534.0, -1.0)
+        SpectralProfile(534.0, -1.0)
     with pytest.raises(ValueError):
-        SpectralProfile("spdc_gaussian", 534.0, 10.0, skew=0.2)
-    with pytest.raises(ValueError):
-        SpectralProfile("unknown_kind", 430.0, 60.0)
+        SpectralProfile(430.0, 60.0, skew=-0.1)
+    with pytest.raises(ValueError, match="the SPDC line cannot be skewed"):
+        EmissionModel(spdc_spectrum=SpectralProfile(534.0, 10.0, skew=0.2))
 
 
 def test_wavelength_grid():
@@ -272,7 +270,7 @@ def test_wavelength_grid_bin_limit():
 
 def test_density_zero_outside_grid():
     # the grid clips the profile: bins beyond either end carry no mass
-    lum = SpectralProfile("luminescence_skewed", 430.0, 60.0, 0.4)
+    lum = SpectralProfile(430.0, 60.0, 0.4)
     grid = WavelengthGrid(400.0, 450.0, 1.0)
     masses = spectral_bin_masses(lum, grid,
                                  np.array([380.0, 390.0, 399.5, 450.5,

@@ -70,7 +70,7 @@ def test_temporal_gate_oracle_values():
     # 10 ns gate at 1 kHz: the prompt component is almost fully inside,
     # closed form 1 - exp(-5/0.73) for the in-gate half
     single = make_model(amplitudes=(1.0,), lifetimes_ns=(0.73,))
-    gate = TemporalGate(window_ns=10.0, repetition_rate_hz=1000.0)
+    gate = TemporalGate(window_ns=10.0)
     assert gate.lum_factor(single) == pytest.approx(0.99893981840393962,
                                                     rel=1e-12)
     # SPDC rides the IRF: a gate much wider than 0.15 ns passes everything
@@ -79,20 +79,32 @@ def test_temporal_gate_oracle_values():
     # tau 1850 ns at 100 kHz: pile-up raises the in-gate share
     slow = make_model(amplitudes=(1.0,), lifetimes_ns=(1850.0,),
                       repetition_rate_hz=1e5)
-    fast_gate = TemporalGate(window_ns=10.0, repetition_rate_hz=1e5)
-    assert fast_gate.lum_factor(slow) == pytest.approx(
+    assert gate.lum_factor(slow) == pytest.approx(
         0.0027234456335098377, rel=1e-12)
+
+
+def test_temporal_gate_runs_at_the_pump_rate():
+    # the default three-component decay piles up more at 100 kHz
+    gate = TemporalGate(window_ns=10.0)
+    fast = gate.lum_factor(make_model(repetition_rate_hz=1e5))
+    assert fast == 0.0031077634700259803
+    assert gate.lum_factor(MODEL) < fast
 
 
 def test_temporal_gate_validation():
     with pytest.raises(ValueError):
-        TemporalGate(window_ns=0.0, repetition_rate_hz=1e3)
-    with pytest.raises(ValueError):
-        TemporalGate(window_ns=10.0, repetition_rate_hz=0.0)
-    with pytest.raises(ValueError):
+        TemporalGate(window_ns=0.0)
+    with pytest.raises(ValueError, match="repetition rate must be positive"):
+        # the gate's period is the pump's, which refuses a zero rate
+        make_model(repetition_rate_hz=0.0)
+    with pytest.raises(TypeError):
+        # latency is keyword-only: a second positional is not a rate
+        TemporalGate(10.0, 1000.0)
+    fast = make_model(repetition_rate_hz=1e6)
+    with pytest.raises(ValueError, match="does not fit within one pulse"):
         # interval [995, 1005] pokes beyond the 1000 ns period
-        TemporalGate(window_ns=10.0, repetition_rate_hz=1e6, latency_ns=1000.0)
-    wide = TemporalGate(window_ns=1500.0, repetition_rate_hz=1e6)
+        TemporalGate(window_ns=10.0, latency_ns=1000.0).lum_factor(fast)
+    wide = TemporalGate(window_ns=1500.0)
     assert wide.interval_ns == (-750.0, 750.0)
 
 
@@ -103,7 +115,7 @@ def test_chain_permutation_invariance():
         LongpassFilter(cutoff_nm=460.0),
         BandpassFilter(center_nm=534.0, fwhm_nm=30.0),
         LongpassFilter(cutoff_nm=400.0, transmission=0.9),
-        TemporalGate(window_ns=10.0, repetition_rate_hz=1000.0),
+        TemporalGate(window_ns=10.0),
     ]
     for _ in range(10):
         k = int(rng.integers(2, len(pool) + 1))
@@ -126,7 +138,7 @@ def test_chain_bounds_and_monotone_attenuation():
     grow = []
     for f in (Polarizer(), LongpassFilter(cutoff_nm=460.0),
               BandpassFilter(center_nm=534.0, fwhm_nm=30.0),
-              TemporalGate(window_ns=10.0, repetition_rate_hz=1000.0)):
+              TemporalGate(window_ns=10.0)):
         grow.append(f)
         c = FilterChain(tuple(grow))
         ts, tl = transmit_spdc(c, MODEL), transmit_luminescence(c, MODEL)
@@ -140,7 +152,7 @@ def test_chain_bounds_and_monotone_attenuation():
 
 
 def test_chain_allows_single_gate_only():
-    g = TemporalGate(window_ns=10.0, repetition_rate_hz=1000.0)
+    g = TemporalGate(window_ns=10.0)
     with pytest.raises(ValueError):
         FilterChain((g, g))
     chain = FilterChain((Polarizer(), g))
@@ -259,13 +271,14 @@ def test_pump_scan_bandpass_selects_degenerate():
 
 
 def test_repetition_rate_alert():
-    ok = repetition_rate_alert(1000.0, MODEL.lum_decay)
+    ok = repetition_rate_alert(MODEL)
     assert ok.ok
     assert "period" in ok.message
-    slow = repetition_rate_alert(1e5, MODEL.lum_decay)
+    slow = repetition_rate_alert(make_model(repetition_rate_hz=1e5))
     assert not slow.ok
     assert "9950" in slow.message
     # the period must cover MIN_PERIODS lifetimes of the slowest component
     edge = 1e9 / (MIN_PERIODS * 9950.0)
-    assert repetition_rate_alert(edge, MODEL.lum_decay).ok
-    assert not repetition_rate_alert(edge * 1.001, MODEL.lum_decay).ok
+    assert repetition_rate_alert(make_model(repetition_rate_hz=edge)).ok
+    assert not repetition_rate_alert(
+        make_model(repetition_rate_hz=edge * 1.001)).ok

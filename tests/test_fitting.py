@@ -194,12 +194,30 @@ def test_design_validation():
         DecayDesign(t, y, 1, irf_fwhm_ns=-0.1)
     with pytest.raises(ValueError):
         DecayDesign(t, y, 1, irf_fwhm_ns=None, fit_t0=True)
+    with pytest.raises(ValueError, match="t0 can only be fitted"):
+        DecayDesign(t, y, 1, irf_fwhm_ns=0.0, fit_t0=True)
     with pytest.raises(ValueError):
         DecayDesign(t, y, 1, irf_fwhm_ns=None, fit_irf=True)
     with pytest.raises(ValueError):
         DecayDesign(t[:4], y[:4], 1)
     with pytest.raises(ValueError):
         DecayDesign(t[::-1], y, 1)
+
+
+def test_zero_irf_fits_like_no_irf():
+    # a zero IRF width is the bare-exponential fit with t0 fixed
+    t, y = _single_tau_trace()
+    bare = fit_multiexp(t, y, 1)
+    zero = fit_multiexp(t, y, 1, irf_fwhm_ns=0.0)
+    assert zero.irf_fwhm_ns == 0.0
+    for name in DecayFit.__dataclass_fields__:
+        if name == "irf_fwhm_ns":
+            continue
+        a, b = getattr(bare, name), getattr(zero, name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
 
 
 @pytest.mark.parametrize("where", ["t", "y"])

@@ -79,7 +79,7 @@ def test_source_imports_no_scipy():
 
 
 _GATE = ["--set", "filter.1.kind=temporal_gate", "--set",
-         "filter.1.window_ns=2", "--set", "filter.1.repetition_rate_hz=1e6",
+         "filter.1.window_ns=2", "--set", "pump.repetition_rate_hz=1e6",
          "--set", "scenario.1.label=gated", "--set", "scenario.1.use_chain=true"]
 
 

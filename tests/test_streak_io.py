@@ -227,6 +227,39 @@ def test_in_memory_count_total_must_fit_int64():
                        exposure=1).total_counts == 2**62
 
 
+@pytest.mark.parametrize("counts", [
+    np.array([[2**63, 0], [0, 0]], dtype=np.uint64),
+    np.array([[1e20, 0], [0, 0]]),
+], ids=["uint64", "float"])
+def test_in_memory_count_must_fit_int64(counts):
+    # an unsigned or float count past int64 is refused before the cast,
+    # which would wrap it negative or warn
+    with pytest.raises(ValueError,
+                       match="counts must fit in a 64-bit integer"):
+        StreakImage(counts, [1.0, 2.0], [1.0, 2.0], 1)
+    top = np.array([[2**63 - 1, 0], [0, 0]], dtype=np.uint64)
+    assert StreakImage(top, [1.0, 2.0], [1.0, 2.0],
+                       1).total_counts == 2**63 - 1
+
+
+@pytest.mark.parametrize("metadata", [
+    {"note": "a\n# exposure = 7"}, {"note": "a\rb"}, {"exposure": "7"},
+    {"a=b": "c"}, {" seed": "1"}, {"seed": "1 "}, {"": "x"}])
+def test_writers_refuse_metadata_that_reads_back_different(tmp_path,
+                                                           metadata):
+    path = tmp_path / "out.csv"
+    img = _image()
+    with pytest.raises(ValueError, match="would not read back unchanged"):
+        write_streak_csv(StreakImage(img.counts, img.wavelength_axis_nm,
+                                     img.time_axis_ns, img.exposure,
+                                     metadata), path)
+    assert not path.exists()
+    if "exposure" not in metadata:
+        with pytest.raises(ValueError, match="would not read back"):
+            write_trace_csv(path, [0.0, 1.0], [2.0, 3.0], metadata)
+        assert not path.exists()
+
+
 def test_parse_error_binary_file(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"\xff\xfe\x00binary")
