@@ -187,6 +187,7 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _load_fit_input(cfg: RunConfig, path: str):
+    """(times, counts, metadata) of a trace CSV, or of an image's band."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline().strip()
@@ -201,18 +202,29 @@ def _load_fit_input(cfg: RunConfig, path: str):
             band = (float(axis[0]), float(axis[-1]))
         elif len(band) != 2:
             raise ConfigError("fit.band_nm: expected 2 numbers (lo, hi)")
-        return analysis.extract_time_trace(image, tuple(band))
-    times, values, _ = read_trace_csv(path)
-    return times, values
+        return (*analysis.extract_time_trace(image, tuple(band)),
+                image.metadata)
+    return read_trace_csv(path)
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    times, counts = _load_fit_input(cfg, args.input)
+    times, counts, metadata = _load_fit_input(cfg, args.input)
+    t0 = cfg.get("fit.t0_ns")
+    if t0 is None:
+        # the pulse arrival the input file records, as the default ROIs take
+        text = metadata.get("pulse_arrival_ns", "0.0")
+        try:
+            t0 = float(text)
+        except ValueError:
+            t0 = math.nan
+        if not math.isfinite(t0):
+            raise StreakParseError(
+                f"pulse_arrival_ns = {text!r} is not a finite number")
     fit = fit_multiexp(
         times, counts, cfg.get("fit.n_components"),
         irf_fwhm_ns=cfg.get("fit.irf_fwhm_ns"),
         baseline_mode=cfg.get("fit.baseline_mode"),
-        t0_ns=cfg.get("fit.t0_ns"), fit_t0=cfg.get("fit.fit_t0"))
+        t0_ns=t0, fit_t0=cfg.get("fit.fit_t0"))
 
     header = ["term", "value", "value_rel_sigma", "lifetime_ns",
               "lifetime_rel_sigma"]
@@ -402,10 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("herald", cmd_herald,
                 "heralded-state probabilities and fidelity")
-    _flag(p, "--rs", "herald.spdc_rate_hz",
-          "SPDC rate, Hz (herald.spdc_rate_hz)")
-    _flag(p, "--rl", "herald.lum_rate_hz",
-          "luminescence rate, Hz (herald.lum_rate_hz)")
+    _flag(p, "--rs", "spdc_rate_hz", "SPDC rate, Hz (spdc_rate_hz)")
+    _flag(p, "--rl", "lum_rate_hz", "luminescence rate, Hz (lum_rate_hz)")
     _flag(p, "--tw", "herald.window_ns",
           "detection window, ns (herald.window_ns)")
     # probabilities need the resolved window to become rates (_resolve)
@@ -443,8 +453,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     # probability shorthands need the resolved window to become rates
     if hasattr(args, "ps") or hasattr(args, "pl"):
         window_s = cfg.get("herald.window_ns") * 1e-9
-        for attr, key in (("ps", "herald.spdc_rate_hz"),
-                          ("pl", "herald.lum_rate_hz")):
+        for attr, key in (("ps", "spdc_rate_hz"), ("pl", "lum_rate_hz")):
             if hasattr(args, attr):
                 try:
                     prob = float(getattr(args, attr))

@@ -29,7 +29,8 @@ import os
 import re
 from dataclasses import dataclass
 
-from .emission import WavelengthGrid, make_model
+from .emission import (DecayModel, EmissionModel, PumpConfig, WavelengthGrid,
+                       make_model)
 from .filters import (POLARIZER_AXES, BandpassFilter, FilterChain,
                       LongpassFilter, Polarizer, ScenarioSpec, TemporalGate)
 from .herald import HeraldParams
@@ -132,27 +133,27 @@ def _k(kind, default, optional=False, choices=None):
     return KeySpec(kind, default, optional, choices)
 
 
-# Scalar keys, in serialization order.
+# Scalar keys, in serialization order; model defaults are the classes' own.
 REGISTRY: dict[str, KeySpec] = {
     "seed": _k("int", 0),
     "out.dir": _k("str", None, optional=True),
     "out.format": _k("str", "pretty", choices=("csv", "pretty")),
 
-    "pump.wavelength_nm": _k("float", 267.0),
-    "pump.repetition_rate_hz": _k("float", 1000.0),
-    "spdc_spectrum.fwhm_nm": _k("float", 10.0),
-    "lum_spectrum.center_nm": _k("float", 430.0),
-    "lum_spectrum.fwhm_nm": _k("float", 60.0),
-    "lum_spectrum.skew": _k("float", 0.4),
-    "lum_decay.amplitudes": _k("floats", (0.90, 0.07, 0.03)),
-    "lum_decay.lifetimes_ns": _k("floats", (0.73, 1850.0, 9950.0)),
-    "lum_decay.irf_fwhm_ns": _k("float", 0.15),
-    "spdc_rate_hz": _k("float", 1.0e5),
-    "lum_rate_hz": _k("float", 6.036e4),
-    "spdc_polarized": _k("bool", True),
-    "grid.min_nm": _k("float", 300.0),
-    "grid.max_nm": _k("float", 700.0),
-    "grid.step_nm": _k("float", 1.0),
+    "pump.wavelength_nm": _k("float", PumpConfig.wavelength_nm),
+    "pump.repetition_rate_hz": _k("float", PumpConfig.repetition_rate_hz),
+    "spdc_spectrum.fwhm_nm": _k("float", EmissionModel.spdc_spectrum.fwhm_nm),
+    "lum_spectrum.center_nm": _k("float", EmissionModel.lum_spectrum.center_nm),
+    "lum_spectrum.fwhm_nm": _k("float", EmissionModel.lum_spectrum.fwhm_nm),
+    "lum_spectrum.skew": _k("float", EmissionModel.lum_spectrum.skew),
+    "lum_decay.amplitudes": _k("floats", DecayModel.amplitudes),
+    "lum_decay.lifetimes_ns": _k("floats", DecayModel.lifetimes_ns),
+    "lum_decay.irf_fwhm_ns": _k("float", DecayModel.irf_fwhm_ns),
+    "spdc_rate_hz": _k("float", EmissionModel.spdc_rate_hz),
+    "lum_rate_hz": _k("float", EmissionModel.lum_rate_hz),
+    "spdc_polarized": _k("bool", EmissionModel.spdc_polarized),
+    "grid.min_nm": _k("float", WavelengthGrid.min_nm),
+    "grid.max_nm": _k("float", WavelengthGrid.max_nm),
+    "grid.step_nm": _k("float", WavelengthGrid.step_nm),
 
     "synth.exposure": _k("int", 100000),
     "synth.time_min_ns": _k("float", -2.0),
@@ -172,20 +173,17 @@ REGISTRY: dict[str, KeySpec] = {
     "fit.n_components": _k("int", 1),
     "fit.irf_fwhm_ns": _k("float", None, optional=True),
     "fit.baseline_mode": _k("str", "free", choices=("free", "zero")),
-    "fit.t0_ns": _k("float", 0.0),
+    "fit.t0_ns": _k("float", None, optional=True),
     "fit.fit_t0": _k("bool", None, optional=True),
     "fit.band_nm": _k("floats", None, optional=True),
 
-    "herald.spdc_rate_hz": _k("float", 1.0e5),
-    "herald.lum_rate_hz": _k("float", 6.036e4),
-    "herald.window_ns": _k("float", 10.0),
+    "herald.window_ns": _k("float", HeraldParams.window_ns),
     "herald.lum_rate_signal_hz": _k("float", None, optional=True),
-    "herald.efficiency": _k("float", 1.0),
     "herald.n_windows": _k("int", 0),
     "herald.snr": _k("float", None, optional=True),
 
-    "scenario.window_ns": _k("float", 10.0),
-    "scenario.spdc_rate_hz": _k("float", 1.0e5),
+    "scenario.window_ns": _k("float", HeraldParams.window_ns),
+    "scenario.spdc_rate_hz": _k("float", EmissionModel.spdc_rate_hz),
     "scenario.baseline_c_spdc": _k("float", 2.225e10, optional=True),
     "scenario.baseline_c_lum": _k("float", 1.343e10, optional=True),
 }
@@ -328,11 +326,10 @@ class RunConfig:
         g = self.get
         try:
             return HeraldParams(
-                spdc_rate_hz=g("herald.spdc_rate_hz"),
-                lum_rate_hz=g("herald.lum_rate_hz"),
+                spdc_rate_hz=g("spdc_rate_hz"),
+                lum_rate_hz=g("lum_rate_hz"),
                 window_ns=g("herald.window_ns"),
                 lum_rate_signal_hz=g("herald.lum_rate_signal_hz"),
-                efficiency=g("herald.efficiency"),
             )
         except ValueError as exc:
             raise ConfigError(f"herald: {exc}") from exc

@@ -216,19 +216,19 @@ class EmissionModel:
 
 
 def make_model(
-    pump_wavelength_nm: float = 267.0,
+    pump_wavelength_nm: float = PumpConfig.wavelength_nm,
     *,
-    repetition_rate_hz: float = 1000.0,
-    spdc_fwhm_nm: float = 10.0,
-    lum_center_nm: float = 430.0,
-    lum_fwhm_nm: float = 60.0,
-    lum_skew: float = 0.4,
-    amplitudes: tuple[float, ...] = (0.90, 0.07, 0.03),
-    lifetimes_ns: tuple[float, ...] = (0.73, 1850.0, 9950.0),
-    irf_fwhm_ns: float = 0.15,
-    spdc_rate_hz: float = 1.0e5,
-    lum_rate_hz: float = 6.036e4,
-    spdc_polarized: bool = True,
+    repetition_rate_hz: float = PumpConfig.repetition_rate_hz,
+    spdc_fwhm_nm: float = EmissionModel.spdc_spectrum.fwhm_nm,
+    lum_center_nm: float = EmissionModel.lum_spectrum.center_nm,
+    lum_fwhm_nm: float = EmissionModel.lum_spectrum.fwhm_nm,
+    lum_skew: float = EmissionModel.lum_spectrum.skew,
+    amplitudes: tuple[float, ...] = DecayModel.amplitudes,
+    lifetimes_ns: tuple[float, ...] = DecayModel.lifetimes_ns,
+    irf_fwhm_ns: float = DecayModel.irf_fwhm_ns,
+    spdc_rate_hz: float = EmissionModel.spdc_rate_hz,
+    lum_rate_hz: float = EmissionModel.lum_rate_hz,
+    spdc_polarized: bool = EmissionModel.spdc_polarized,
     grid: WavelengthGrid | None = None,
 ) -> EmissionModel:
     """Build a consistent EmissionModel; the SPDC line is derived from the pump."""
@@ -269,31 +269,18 @@ def luminescence_decay_intensity(model: EmissionModel, t_ns):
 
 
 def model_fingerprint(model: EmissionModel) -> str:
-    """Canonical flat text of every model parameter.
-
-    Used for hashing into synthesized-image metadata, so analysis can tell
-    which model produced a file.  Stable across runs and sessions.
-    """
-    items = [
-        ("pump.wavelength_nm", model.pump.wavelength_nm),
-        ("pump.repetition_rate_hz", model.pump.repetition_rate_hz),
-        ("spdc.center_nm", model.spdc_spectrum.center_nm),
-        ("spdc.fwhm_nm", model.spdc_spectrum.fwhm_nm),
-        ("spdc.rate_hz", model.spdc_rate_hz),
-        ("spdc.polarized", model.spdc_polarized),
-        ("lum.center_nm", model.lum_spectrum.center_nm),
-        ("lum.fwhm_nm", model.lum_spectrum.fwhm_nm),
-        ("lum.skew", model.lum_spectrum.skew),
-        ("lum.rate_hz", model.lum_rate_hz),
-        ("decay.amplitudes", ",".join(repr(a) for a in model.lum_decay.amplitudes)),
-        ("decay.lifetimes_ns", ",".join(repr(t) for t in model.lum_decay.lifetimes_ns)),
-        ("decay.irf_fwhm_ns", model.lum_decay.irf_fwhm_ns),
-        ("grid.min_nm", model.grid.min_nm),
-        ("grid.max_nm", model.grid.max_nm),
-        ("grid.step_nm", model.grid.step_nm),
-    ]
-    return "\n".join(f"{k} = {v!r}" if isinstance(v, str) else f"{k} = {v}"
-                     for k, v in items)
+    """Canonical flat text of every model parameter, one `path = str(value)`
+    line per leaf field, hashed into synthesized-image metadata so analysis
+    can tell which model produced a file.  A NumPy scalar prints like the
+    Python float it equals."""
+    def leaves(obj, prefix):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from leaves(value, f"{prefix}{f.name}.")
+            else:
+                yield f"{prefix}{f.name} = {value!s}"
+    return "\n".join(leaves(model, ""))
 
 
 def spectral_bin_masses(profile: SpectralProfile, grid: WavelengthGrid,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import kernels
 from .emission import EmissionModel, band_mass, decay_bin_masses
-from .herald import fidelity_from_snr
+from .herald import HeraldParams, fidelity_from_snr
 
 POLARIZER_AXES = ("aligned_to_spdc", "orthogonal")
 
@@ -126,8 +126,8 @@ class TemporalGate:
     relative to the trigger, so a zero-latency gate much wider than the IRF
     transmits the whole SPDC pulse.  Luminescence transmission is the in-gate
     share of the decay including pile-up at the pump's repetition rate
-    (emission.decay_bin_masses without IRF blur); the interval must fit
-    within one pump period on either side of the trigger.
+    (emission.decay_bin_masses without IRF blur); the interval must be no
+    wider than one pump period and lie within one period of the trigger.
     """
 
     window_ns: float
@@ -150,7 +150,7 @@ class TemporalGate:
     def lum_factor(self, model: EmissionModel) -> float:
         period = model.pump.period_ns
         lo, hi = self.interval_ns
-        if lo < -period or hi > period:
+        if lo < -period or hi > period or self.window_ns > period:
             raise ValueError(
                 f"gate [{lo:g}, {hi:g}] ns does not fit within one pulse "
                 f"period ({period:g} ns) around the trigger")
@@ -293,8 +293,10 @@ _REFERENCE_RTOL = 1e-3
 
 
 def scenario_fidelity(model: EmissionModel, chain: FilterChain,
-                      spec: ScenarioSpec, *, window_ns: float = 10.0,
-                      spdc_rate_hz: float = 1.0e5) -> ScenarioResult:
+                      spec: ScenarioSpec, *,
+                      window_ns: float = HeraldParams.window_ns,
+                      spdc_rate_hz: float = EmissionModel.spdc_rate_hz
+                      ) -> ScenarioResult:
     """Evaluate one scenario: transmitted counts, SNR, fidelity.
 
     window_ns and spdc_rate_hz feed the fidelity formula's t_w * R_S
@@ -345,8 +347,12 @@ def scenario_fidelity(model: EmissionModel, chain: FilterChain,
         flags=tuple(flags), notes=tuple(notes))
 
 
-def run_scenarios(model: EmissionModel, chain: FilterChain,
-                  specs, *, window_ns: float = 10.0,
-                  spdc_rate_hz: float = 1.0e5) -> list[ScenarioResult]:
+def run_scenarios(model: EmissionModel, chain: FilterChain, specs, *,
+                  window_ns: float = HeraldParams.window_ns,
+                  spdc_rate_hz: float = EmissionModel.spdc_rate_hz
+                  ) -> list[ScenarioResult]:
+    """scenario_fidelity per spec; a chain the model refuses fails first."""
+    transmit_spdc(chain, model)
+    transmit_luminescence(chain, model)
     return [scenario_fidelity(model, chain, spec, window_ns=window_ns,
                               spdc_rate_hz=spdc_rate_hz) for spec in specs]

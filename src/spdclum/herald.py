@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .emission import EmissionModel
+
 VALIDITY_BOUND = 0.05
 
 _VALIDITY_MSG = (
@@ -66,23 +68,19 @@ def pair_probability(rate_hz: float, window_ns: float) -> float:
 class HeraldParams:
     """Rates (per collected mode) and the detection window.
 
-    lum_rate_hz is the luminescence rate in the idler (heralding) mode; the
-    signal mode defaults to the same rate and can be set separately via
-    lum_rate_signal_hz.  efficiency rescales all rates identically, modelling
-    a common detector efficiency; it cancels in any rate quotient.
+    The rates are the emission model's: lum_rate_hz is the luminescence rate
+    in the idler (heralding) mode; the signal mode defaults to the same rate
+    and can be set separately via lum_rate_signal_hz.
     """
 
-    spdc_rate_hz: float = 1.0e5
-    lum_rate_hz: float = 6.036e4
+    spdc_rate_hz: float = EmissionModel.spdc_rate_hz
+    lum_rate_hz: float = EmissionModel.lum_rate_hz
     window_ns: float = 10.0
     lum_rate_signal_hz: float | None = None
-    efficiency: float = 1.0
 
     def __post_init__(self):
         if self.window_ns <= 0.0:
             raise ValueError("detection window must be positive")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
         # evaluates every probability, enforcing the validity bound
         _check_probability("P_S", self.p_s)
         _check_probability("P_L", self.p_l)
@@ -91,7 +89,7 @@ class HeraldParams:
     def _prob(self, rate_hz: float) -> float:
         if rate_hz < 0.0:
             raise ValueError("rate must be nonnegative")
-        return self.efficiency * rate_hz * self.window_ns * 1e-9
+        return rate_hz * self.window_ns * 1e-9
 
     @property
     def p_s(self) -> float:

@@ -163,6 +163,43 @@ def test_fit_decay_trace_file(tmp_path, capsys):
     assert abs(float(m.group(1)) - 500.0) / 500.0 < 0.05
 
 
+def test_fit_takes_the_images_pulse_arrival(tmp_path, capsys):
+    # a decay whose pulse arrives at 3 ns: fitting it from t0 = 0 once ended
+    # at the lifetime bound (0.0025 ns, exit 5)
+    out = tmp_path / "img"
+    run(capsys, "synth", "--out", str(out), "--seed", "2",
+        "--set", "synth.t0_ns=3", "--set", "synth.time_max_ns=20",
+        "--set", "lum_decay.amplitudes=1", "--set", "lum_decay.lifetimes_ns=2",
+        "--set", "spdc_rate_hz=0")
+    image = str(out / "streak.csv")
+    code, text, _ = run(capsys, "fit", image, "--components", "1",
+                        "--irf", "0.15", "--format", "csv")
+    assert code == 0
+    rows = {r["term"]: r for r in csv.DictReader(io.StringIO(text))}
+    assert float(rows["component_1"]["lifetime_ns"]) == pytest.approx(
+        2.0, rel=1e-3)
+    # an explicit fit.t0_ns still wins
+    code, text, _ = run(capsys, "fit", image, "--components", "1",
+                        "--irf", "0.15", "--format", "csv",
+                        "--set", "fit.t0_ns=2.5", "--set", "fit.fit_t0=false")
+    rows = {r["term"]: r for r in csv.DictReader(io.StringIO(text))}
+    assert rows["t0_ns"]["value"] == "2.5"
+
+
+def test_fit_bad_pulse_arrival_exits_3(tmp_path, capsys):
+    import numpy as np
+
+    from spdclum.streak import write_trace_csv
+
+    t = np.arange(0.0, 50.0, 1.0)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), t, 100.0 * np.exp(-t / 5.0),
+                    metadata={"pulse_arrival_ns": "nan"})
+    code, _, err = run(capsys, "fit", str(path), "--components", "1")
+    assert code == 3
+    assert "pulse_arrival_ns" in err
+
+
 def test_fit_missing_file_exits_3(capsys):
     code, _, _ = run(capsys, "fit", "/no/such/file.csv")
     assert code == 3
@@ -344,7 +381,9 @@ def test_negative_integer_exits_2(tmp_path, capsys, argv, key):
 
 
 @pytest.mark.parametrize("key", ["pump.polarization_angle_deg",
-                                 "spdc_power_exponent", "pump.power_mw"])
+                                 "spdc_power_exponent", "pump.power_mw",
+                                 "herald.spdc_rate_hz", "herald.lum_rate_hz",
+                                 "herald.efficiency"])
 def test_removed_model_keys_are_unknown(tmp_path, capsys, key):
     code, _, err = run(capsys, "herald", "--set", f"{key}=1")
     assert code == 2
@@ -367,6 +406,36 @@ def test_gate_runs_at_the_pump_rate(capsys):
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["snr"] == "533.0967626088894"
+
+
+def test_probability_flags_set_the_model_rates():
+    # --ps/--pl land on the model's rate keys, through the resolved window
+    args = build_parser().parse_args(["herald", "--ps", "2e-3", "--pl",
+                                      "1e-3", "--tw", "5"])
+    cfg = _resolve(args)
+    assert (cfg.get("spdc_rate_hz"), cfg.get("lum_rate_hz")) == \
+        pytest.approx((4e5, 2e5), rel=1e-12)
+
+
+@pytest.mark.parametrize("settings", [
+    # a gate wider than one period, on a chain row: it once passed 1.4978 of
+    # the luminescence, clipped to 1, and reported the ungated SNR
+    ["filter.1.kind=temporal_gate", "filter.1.window_ns=1500",
+     "pump.repetition_rate_hz=1e6", "scenario.1.use_chain=true"],
+    # out-of-period gate, row with explicit fractions
+    ["filter.1.kind=temporal_gate", "filter.1.window_ns=10",
+     "filter.1.latency_ns=1000", "pump.repetition_rate_hz=1e6",
+     "scenario.1.spdc_fraction=0.5", "scenario.1.lum_fraction=0.5"],
+    # bandpass off the wavelength grid, plain row
+    ["filter.1.kind=bandpass", "filter.1.center_nm=900",
+     "filter.1.fwhm_nm=10", "scenario.1.label=plain"],
+], ids=["wide-gate-chain-row", "gate-explicit-row", "bandpass-plain-row"])
+def test_refused_filter_exits_2_whatever_the_rows(capsys, settings):
+    code, out, err = run(capsys, "scenario",
+                         *[a for s in settings for a in ("--set", s)])
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert out == ""
 
 
 def test_gate_repetition_rate_key_is_unknown(tmp_path, capsys):
@@ -523,8 +592,8 @@ FLAG_KEYS = [
      "free"),
     (["fit", "i.csv", "--band", "500,560"], "fit.band_nm", (500.0, 560.0),
      "1,2"),
-    (["herald", "--rs", "2e5"], "herald.spdc_rate_hz", 2e5, "1"),
-    (["herald", "--rl", "7e4"], "herald.lum_rate_hz", 7e4, "1"),
+    (["herald", "--rs", "2e5"], "spdc_rate_hz", 2e5, "1"),
+    (["herald", "--rl", "7e4"], "lum_rate_hz", 7e4, "1"),
     (["herald", "--tw", "5"], "herald.window_ns", 5.0, "1"),
     (["herald", "--snr", "1.5"], "herald.snr", 1.5, "2"),
     (["herald", "--monte-carlo", "1000"], "herald.n_windows", 1000, "5"),

@@ -201,11 +201,15 @@ def test_build_model_wraps_errors():
 def test_build_herald():
     cfg = resolve_config(overrides={
         "herald.window_ns": "10",
-        "herald.spdc_rate_hz": "1e5",
-        "herald.lum_rate_hz": "6.036e4",
+        "spdc_rate_hz": "2e5",
+        "lum_rate_hz": "6.036e4",
     }, environ={})
     params = cfg.build_herald()
-    assert params.p_s == 1e-3
+    assert params.p_s == 2e-3
+    # the herald reads the model's rates: one key each
+    model = cfg.build_model()
+    assert (params.spdc_rate_hz, params.lum_rate_hz) == (
+        model.spdc_rate_hz, model.lum_rate_hz)
     bad = resolve_config(overrides={"herald.window_ns": "-1"}, environ={})
     with pytest.raises(ConfigError):
         bad.build_herald()

@@ -317,3 +317,6 @@ def test_model_fingerprint_stable_and_sensitive():
               for name, m in perturbed.items()}
     assert [name for name, p in prints.items() if p == a] == []
     assert len(set(prints.values())) == len(prints)
+    # NumPy scalars print like the Python floats they equal
+    assert emission.model_fingerprint(make_model(np.float64(260.0))) == \
+        prints["pump_wavelength_nm"]

@@ -108,6 +108,24 @@ def test_temporal_gate_validation():
     assert wide.interval_ns == (-750.0, 750.0)
 
 
+def test_temporal_gate_wider_than_a_period_is_refused():
+    # a gate can collect at most one period's luminescence: 1500 ns at 1 MHz
+    # once gave 1.4978 and 2000 ns gave 2.0
+    fast = make_model(repetition_rate_hz=1e6)
+    for window in (1500.0, 2000.0):
+        with pytest.raises(ValueError, match="does not fit within one pulse"):
+            TemporalGate(window_ns=window).lum_factor(fast)
+    # exactly one period, wherever it sits, collects the whole period
+    assert TemporalGate(window_ns=1000.0).lum_factor(fast) == \
+        pytest.approx(1.0, rel=1e-12)
+    assert TemporalGate(window_ns=1000.0, latency_ns=400.0).lum_factor(
+        fast) == pytest.approx(1.0, rel=1e-12)
+    # the scenario table refuses it even for rows that do not use the chain
+    with pytest.raises(ValueError, match="does not fit within one pulse"):
+        run_scenarios(fast, FilterChain((TemporalGate(window_ns=1500.0),)),
+                      [ScenarioSpec("plain", 1.0, 1.0)])
+
+
 def test_chain_permutation_invariance():
     rng = np.random.default_rng(31)
     pool = [

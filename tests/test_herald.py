@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from spdclum.emission import make_model
 from spdclum.herald import (
     VALIDITY_BOUND,
     HeraldParams,
@@ -153,18 +154,11 @@ def test_params_derive_probabilities():
     with pytest.raises(ValueError):
         HeraldParams(window_ns=0.0)
     with pytest.raises(ValueError):
-        HeraldParams(efficiency=0.0)
-    with pytest.raises(ValueError):
-        HeraldParams(efficiency=1.5)
-    with pytest.raises(ValueError):
         HeraldParams(spdc_rate_hz=1e9)
-
-
-def test_params_efficiency_scales_both():
-    full = HeraldParams()
-    half = HeraldParams(efficiency=0.5)
-    assert half.p_s == pytest.approx(0.5 * full.p_s, rel=1e-12)
-    assert half.p_l == pytest.approx(0.5 * full.p_l, rel=1e-12)
+    # the defaults are the emission model's rates
+    model = make_model()
+    assert (params.spdc_rate_hz, params.lum_rate_hz) == (
+        model.spdc_rate_hz, model.lum_rate_hz)
 
 
 def test_monte_carlo_matches_analytic():

@@ -180,6 +180,24 @@ def test_every_public_name_is_reached():
     assert sorted(set(spdclum.__all__) - used) == []
 
 
+def test_every_config_key_is_read():
+    # a registry key that no code reads as a string is a knob that changes
+    # nothing: read it or drop it
+    from spdclum.config import REGISTRY
+
+    literals = set()
+    for path in sorted((ROOT / "src" / "spdclum").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        registry = [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.AnnAssign)
+                    and getattr(node.target, "id", None) == "REGISTRY"]
+        skip = {id(n) for r in registry for n in ast.walk(r)}
+        literals |= {node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str) and id(node) not in skip}
+    assert sorted(set(REGISTRY) - literals) == []
+
+
 def test_no_private_cross_module_imports():
     # a module reaching into another's private names couples the two
     # silently; share the name publicly or keep the code in one place
