@@ -17,10 +17,13 @@ The model per time bin is the bin average of
 
     m(t) = baseline + sum_i a_i * K(t - t0; tau_i, sigma_irf)
 
-with K the causal exponential, convolved with the Gaussian IRF when an IRF
-width is given.  Averaging over each bin through the closed-form
+with K the causal exponential, convolved with the Gaussian IRF of FWHM fwhm
+when an IRF width is given.  Averaging over each bin through the closed-form
 antiderivative mirrors how counts are accumulated, so lifetimes recovered
-from finely or coarsely binned traces are free of binning bias.  t0 is
+from finely or coarsely binned traces are free of binning bias.
+
+The parameter vector is [baseline, t0, a_1..a_n, tau_1..tau_n, fwhm]; a fit
+varies the entries its switches free and holds the rest fixed.  t0 is
 fitted only when an IRF is present (sub-bin IRF traces fix it), matching how
 nanosecond and microsecond windows are analyzed.
 """
@@ -214,8 +217,7 @@ def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
 class DecayDesign:
     """Residuals and analytic derivatives for one fitting problem.
 
-    Parameter vector layout: [baseline?, t0?, a_1..a_n, tau_1..tau_n, fwhm?],
-    with the optional entries present according to the switches.  The
+    theta holds the fitted entries of the parameter vector, in its order.  The
     objective is 0.5 * sum(residuals**2) with residuals = (model - y) * w.
     """
 
@@ -242,15 +244,21 @@ class DecayDesign:
             raise ValueError("t0 can only be fitted with a nonzero IRF width")
         if fit_irf and not irf_fwhm_ns:
             raise ValueError("fitting the IRF width needs a nonzero start value")
-        self.n = n_components
+        self.n = n = n_components
         self.irf_fwhm_ns = irf_fwhm_ns
         self.baseline_mode = baseline_mode
         self.fit_t0 = bool(fit_t0)
         self.fit_irf = bool(fit_irf)
         self.t0_fixed = float(t0_ns)
         self.w = 1.0 / np.sqrt(np.maximum(self.y, 1.0))
-        self.n_params = ((baseline_mode == "free") + self.fit_t0
-                         + 2 * self.n + self.fit_irf)
+        # the full parameter vector: the values of its fixed entries (t0's
+        # and fwhm's also start the fit) and the mask of its fitted ones
+        self._fixed = np.array([0.0, self.t0_fixed, *[0.0] * (2 * n),
+                                irf_fwhm_ns or 0.0])
+        self._fitted = np.array([baseline_mode == "free", self.fit_t0,
+                                 *[True] * (2 * n), self.fit_irf])
+        self._amps, self._taus = slice(2, 2 + n), slice(2 + n, 2 + 2 * n)
+        self.n_params = int(self._fitted.sum())
         if self.t.size < max(3 * self.n_params, 8):
             raise ValueError(
                 f"trace too short: {self.t.size} bins for {self.n_params} "
@@ -265,22 +273,10 @@ class DecayDesign:
 
     # -- parameter vector bookkeeping ------------------------------------
     def _split(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        i = 0
-        baseline = 0.0
-        if self.baseline_mode == "free":
-            baseline = theta[0]
-            i = 1
-        t0 = self.t0_fixed
-        if self.fit_t0:
-            t0 = theta[i]
-            i += 1
-        amps = theta[i:i + self.n]
-        taus = theta[i + self.n:i + 2 * self.n]
-        fwhm = self.irf_fwhm_ns
-        if self.fit_irf:
-            fwhm = theta[i + 2 * self.n]
-        return baseline, t0, amps, taus, fwhm
+        """(baseline, t0, amplitudes, lifetimes, fwhm) at theta."""
+        full = self._fixed.copy()
+        full[self._fitted] = theta
+        return full[0], full[1], full[self._amps], full[self._taus], full[-1]
 
     def _avg(self, v):
         # bin average of a kernel antiderivative difference; matches how
@@ -291,7 +287,7 @@ class DecayDesign:
     def _kernel(self, t0, taus, fwhm):
         """exp_conv_gauss_cdf_grad at the edges, kept for the last exact
         (t0, taus, sigma): residuals and jacobian at one point share it."""
-        sigma = (fwhm or 0.0) * kernels.FWHM_TO_SIGMA
+        sigma = fwhm * kernels.FWHM_TO_SIGMA
         key = np.concatenate(([t0, sigma], taus)).tobytes()
         if self._memo[0] != key:
             self._memo = key, kernels.exp_conv_gauss_cdf_grad(
@@ -313,17 +309,16 @@ class DecayDesign:
         # F and its partials in t, tau and sigma, a row per component;
         # d/dt0 of F(t - t0) is -dF/dt
         f, d_t, d_tau, d_sigma = self._kernel(t0, taus, fwhm)
-        cols = []
-        if self.baseline_mode == "free":
-            cols.append(np.ones_like(self.t))
-        if self.fit_t0:
+        # only the fitted columns, in the parameter vector's order
+        cols = [np.ones_like(self.t)] if self._fitted[0] else []
+        if self._fitted[1]:
             dt_col = np.zeros_like(self.t)
             for a, d in zip(amps, d_t):
                 dt_col -= a * self._avg(d)
             cols.append(dt_col)
         cols.extend(self._avg(v) for v in f)
         cols.extend(a * self._avg(d) for a, d in zip(amps, d_tau))
-        if self.fit_irf:
+        if self._fitted[-1]:
             dw_col = np.zeros_like(self.t)
             for a, d in zip(amps, d_sigma):
                 dw_col += a * self._avg(d)
@@ -341,21 +336,12 @@ class DecayDesign:
     # -- bounds and starts ------------------------------------------------
     def bounds(self):
         span = self.t[-1] - self.t[0]
-        lo, hi = [], []
-        if self.baseline_mode == "free":
-            lo.append(0.0)
-            hi.append(np.inf)
-        if self.fit_t0:
-            lo.append(self.t0_fixed - 0.5 * span)
-            hi.append(self.t0_fixed + 0.5 * span)
-        lo.extend([0.0] * self.n)
-        hi.extend([np.inf] * self.n)
-        lo.extend([self.tau_lo] * self.n)
-        hi.extend([self.tau_hi] * self.n)
-        if self.fit_irf:
-            lo.append(self.dt / 100.0)
-            hi.append(span)
-        return np.array(lo), np.array(hi)
+        n = self.n
+        lo = np.array([0.0, self.t0_fixed - 0.5 * span, *[0.0] * n,
+                       *[self.tau_lo] * n, self.dt / 100.0])
+        hi = np.array([np.inf, self.t0_fixed + 0.5 * span, *[np.inf] * n,
+                       *[self.tau_hi] * n, span])
+        return lo[self._fitted], hi[self._fitted]
 
     def start_lifetimes(self) -> list[tuple[float, ...]]:
         """Deterministic log-spaced lifetime combinations over the span."""
@@ -385,8 +371,8 @@ class DecayDesign:
         support = support.reshape(k, self.n)
         cols = self._avg(kernels.exp_conv_gauss_cdf(
             self.edges - self.t0_fixed, taus,
-            (self.irf_fwhm_ns or 0.0) * kernels.FWHM_TO_SIGMA))
-        free = int(self.baseline_mode == "free")  # baseline column last
+            self._fixed[-1] * kernels.FWHM_TO_SIGMA))
+        free = int(self._fitted[0])  # baseline column last
         a_mat = np.vstack([cols, np.ones((free, self.t.size))]).T
         support = np.hstack([support, np.full((k, free), taus.size)])
         a_w, b_w = a_mat * self.w[:, None], self.y * self.w
@@ -401,11 +387,11 @@ class DecayDesign:
                          gram[support[:, :, None], support[:, None, :]], c)
         objectives = 0.5 * (quad - 2.0 * np.sum(c * proj[support], axis=1)
                             + b_w @ b_w)
-        thetas = np.hstack([
-            base, np.full((k, int(self.fit_t0)), self.t0_fixed), amps,
-            taus[support[:, :self.n]],
-            np.full((k, int(self.fit_irf)), self.irf_fwhm_ns or 0.0)])
-        return thetas, objectives
+        full = np.tile(self._fixed, (k, 1))
+        full[:, :free] = base
+        full[:, self._amps] = amps
+        full[:, self._taus] = taus[support[:, :self.n]]
+        return full[:, self._fitted], objectives
 
 
 def fit_multiexp(time_ns, counts, n_components: int,
@@ -484,21 +470,16 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
     else:
         sigmas = np.full(design.n_params, np.nan)
 
-    i = 0
-    baseline_rel = 0.0
-    if design.baseline_mode == "free":
-        baseline_rel = _rel(sigmas[0], baseline)
-        i = 1
-    t0_sigma = 0.0
-    if design.fit_t0:
-        t0_sigma = float(sigmas[i])
-        i += 1
-    amp_sig = sigmas[i:i + design.n]
+    # sigmas on the full parameter vector; a fixed entry's is 0
+    full_sig = np.zeros(design._fitted.size)
+    full_sig[design._fitted] = sigmas
+    baseline_rel = _rel(full_sig[0], baseline) if design._fitted[0] else 0.0
+    amp_sig = full_sig[design._amps]
     # the curvature says nothing one-sided: a lifetime on its bound is not
     # determined, like a baseline on its zero bound
     at_bound = ((taus >= design.tau_hi * (1.0 - _BOUND_REL))
                 | (taus <= design.tau_lo * (1.0 + _BOUND_REL)))
-    tau_sig = np.where(at_bound, np.inf, sigmas[i + design.n:i + 2 * design.n])
+    tau_sig = np.where(at_bound, np.inf, full_sig[design._taus])
 
     components = tuple(
         FitComponent(float(amps[k]), float(taus[k]),
@@ -518,8 +499,8 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
         baseline=float(baseline),
         baseline_rel_sigma=baseline_rel,
         t0_ns=float(t0),
-        t0_sigma_ns=t0_sigma,
-        irf_fwhm_ns=float(fwhm) if fwhm is not None else None,
+        t0_sigma_ns=float(full_sig[1]),
+        irf_fwhm_ns=None if design.irf_fwhm_ns is None else float(fwhm),
         reduced_chi_square=float(chi2_red),
         converged=converged_ok,
         flags=tuple(flags),

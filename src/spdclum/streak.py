@@ -166,8 +166,8 @@ def write_trace_csv(path, time_ns, values, metadata=None,
 
     Same metadata conventions as the streak format; one ``time_ns,<value>``
     row per bin.  Deterministic bytes.  A value column name that would
-    split the header row, or metadata that would not read back unchanged,
-    is refused.
+    split the header row, times that do not increase strictly, or metadata
+    that would not read back unchanged, are refused.
     """
     if set(value_column) & set(",\r\n"):
         raise ValueError(f"value column name {value_column!r} must hold no "
@@ -176,6 +176,8 @@ def write_trace_csv(path, time_ns, values, metadata=None,
     values = np.asarray(values, dtype=float)
     if time_ns.shape != values.shape or time_ns.ndim != 1:
         raise ValueError("time and value arrays must be equal-length 1-d")
+    if not np.all(time_ns[1:] > time_ns[:-1]):
+        raise ValueError("time axis must be strictly increasing")
     lines = ["# decay-trace/v1", *_metadata_lines(metadata or {})]
     lines.append(f"time_ns,{value_column}")
     for t, v in zip(time_ns, values):
@@ -188,8 +190,8 @@ def _data_lines(path, metadata: dict[str, str]):
     """Yield (1-based line number, stripped line) for every data line.
 
     Blank lines and comment lines are skipped; ``# key = value`` comments
-    are collected into metadata.  A file that is not UTF-8 text raises
-    StreakParseError.
+    are collected into metadata.  A repeated key, or a file that is not
+    UTF-8 text, raises StreakParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -198,11 +200,13 @@ def _data_lines(path, metadata: dict[str, str]):
                 if not line:
                     continue
                 if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        key, _, value = body.partition("=")
-                        if key.strip():
-                            metadata[key.strip()] = value.strip()
+                    key, eq, value = line[1:].partition("=")
+                    key = key.strip()
+                    if eq and key:
+                        if key in metadata:
+                            raise StreakParseError(
+                                f"duplicate metadata key {key!r}", lineno)
+                        metadata[key] = value.strip()
                     continue
                 yield lineno, line
         except UnicodeDecodeError as exc:
@@ -213,19 +217,19 @@ def _data_lines(path, metadata: dict[str, str]):
 def read_trace_csv(path):
     """Parse a trace CSV -> (time_ns, values, metadata).
 
-    Accepts an optional ``time_ns,...`` header row; values may be floats.
-    Malformed or non-finite rows raise StreakParseError with the line
-    number.
+    Accepts an optional ``time_ns,...`` header as the first data row;
+    values may be floats.  Malformed or non-finite rows, and times that do
+    not increase strictly, raise StreakParseError with the line number.
     """
     metadata: dict[str, str] = {}
     times: list[float] = []
     values: list[float] = []
-    for lineno, line in _data_lines(path, metadata):
+    for i, (lineno, line) in enumerate(_data_lines(path, metadata)):
         fields = line.split(",")
         if len(fields) != 2:
             raise StreakParseError(
                 f"expected 2 fields, got {len(fields)}", lineno)
-        if not times and not values:
+        if i == 0:
             try:
                 float(fields[0])
             except ValueError:
@@ -238,6 +242,9 @@ def read_trace_csv(path):
                                    lineno) from None
         if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
             raise StreakParseError("trace values must be finite", lineno)
+        if len(times) > 1 and times[-1] <= times[-2]:
+            raise StreakParseError("time axis must be strictly increasing",
+                                   lineno)
     if not times:
         raise StreakParseError("no trace data found")
     return np.array(times), np.array(values), metadata

@@ -354,6 +354,20 @@ def test_fit_nonfinite_trace_exits_3(tmp_path, capsys):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("repeat", ["0.1", "0.05"], ids=["equal", "backward"])
+def test_fit_trace_with_non_increasing_time_exits_3(tmp_path, capsys,
+                                                    repeat):
+    # the fault is in the input file, so the reader names its line
+    rows = [f"{0.1 * i!r},{100.0 - i!r}" for i in range(30)]
+    rows.insert(3, f"{repeat},50.0")
+    bad = tmp_path / "trace.csv"
+    bad.write_text("# decay-trace/v1\ntime_ns,counts\n" + "\n".join(rows))
+    code, _, err = run(capsys, "fit", str(bad))
+    assert code == 3
+    assert err == ("input error: line 6: time axis must be strictly "
+                   "increasing\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--set", "lum_spectrum.fwhm_nm=inf"],
     ["scenario", "--set", "pump.repetition_rate_hz=inf"],

@@ -1,5 +1,6 @@
 """Multi-exponential decay fitting and its analytic derivatives."""
 
+import itertools
 import math
 import warnings
 
@@ -80,18 +81,37 @@ def test_gradient_matches_central_differences():
 
 
 def test_jacobian_matches_residual_differences():
+    # every valid switch combination, from a bare fit (sigma = 0, as in the
+    # two-lifetime tail fits) to one that fits t0 and the IRF width too
     t, y = _single_tau_trace()
     t2, y2 = _two_tau_trace()
     tail = t2 >= 150.0
-    cases = (
-        (DecayDesign(t, y, 1, irf_fwhm_ns=0.15), (0.5,)),
-        # bare exponentials (sigma = 0), as in the two-lifetime tail fits
-        (DecayDesign(t2[tail], y2[tail], 2, irf_fwhm_ns=None),
-         (1000.0, 8000.0)),
-    )
-    for design, taus in cases:
+    traces = {"irf": (t, y), "bare": (t2[tail], y2[tail])}
+    taus_by_n = {"irf": {1: (0.5,), 2: (0.3, 1.5), 3: (0.2, 0.8, 3.0)},
+                 "bare": {1: (3000.0,), 2: (1000.0, 8000.0),
+                          3: (500.0, 2000.0, 8000.0)}}
+    cases = 0
+    for n, baseline, irf in itertools.product(
+            (1, 2, 3), ("free", "zero"),
+            [None, *itertools.product((True, False), repeat=2)]):
+        kind = "bare" if irf is None else "irf"
+        switches = ({} if irf is None else
+                    dict(irf_fwhm_ns=0.15, fit_t0=irf[0], fit_irf=irf[1]))
+        design = DecayDesign(*traces[kind], n, baseline_mode=baseline,
+                             **switches)
+        case = (n, baseline, switches)
+        lo, hi = design.bounds()
+        assert lo.shape == hi.shape == (design.n_params,), case
+        # every seeded start has one entry per fitted parameter, in bounds
+        thetas, _ = design._seeds(design.start_lifetimes())
+        assert thetas.shape[1] == design.n_params, case
+        assert np.all((lo <= thetas) & (thetas <= hi)), case
+        taus = taus_by_n[kind][n]
         theta = design.best_start([taus])
+        assert np.all((lo <= theta) & (theta <= hi)), case
+        assert np.array_equal(design._split(theta)[3], taus), case
         jac = design.jacobian(theta)
+        assert jac.shape == (design.t.size, design.n_params), case
         for i in range(theta.size):
             # the model is an antiderivative difference, so too small a step
             # drowns the quotient in cancellation noise; 1e-4 keeps
@@ -103,7 +123,9 @@ def test_jacobian_matches_residual_differences():
             tm[i] -= h
             col = (design.residuals(tp) - design.residuals(tm)) / (2.0 * h)
             assert np.allclose(col, jac[:, i], rtol=1e-4,
-                               atol=1e-8 * np.abs(col).max()), (taus, i)
+                               atol=1e-8 * np.abs(col).max()), (case, i)
+        cases += 1
+    assert cases == 30
 
 
 def test_single_lifetime_recovery():

@@ -1,8 +1,8 @@
 """No SciPy at run time, and the package API resolves its names.
 
-SciPy stays a test dependency, as a reference.  The subcommand checks run in
-fresh interpreters, since this test process imports SciPy through other
-tests.
+SciPy stays a test dependency, as a reference.  The subcommand checks run
+with SciPy blocked in fresh interpreters, since this test process imports
+SciPy through other tests, and compare them with in-process runs.
 """
 
 import ast
@@ -20,15 +20,14 @@ from spdclum.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs one subcommand, optionally with every scipy import failing, then
-# prints its exit code as the last stdout line
+# runs one subcommand with every scipy import failing, then prints its exit
+# code and whether numpy.ma was loaded as the last stdout line
 _PROBE = """
 import sys
-if sys.argv.pop(1) == "blocked":
-    sys.modules["scipy"] = None
+sys.modules["scipy"] = None
 from spdclum.cli import main
 code = main(sys.argv[1:])
-print(code)
+print(code, "numpy.ma" in sys.modules)
 """
 
 
@@ -83,65 +82,51 @@ _GATE = ["--set", "filter.1.kind=temporal_gate", "--set",
          "--set", "scenario.1.label=gated", "--set", "scenario.1.use_chain=true"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["synth", "--out", "o", "--exposure", "1000"],
-    ["synth", "--config", "{image_dir}/resolved.cfg", "--out", "o"],
-    ["analyze", "{image}"],
-    ["fit", "{trace}", "--components", "1"],
-    ["fit", "{image}", "--irf", "0.15", "--band", "560,700"],
-    ["herald", "--rs", "1e5", "--rl", "6.036e4", "--tw", "10"],
-    ["herald", "--ps", "1e-3", "--pl", "6.036e-4", "--monte-carlo",
-     "1000000", "--seed", "1"],
-    ["scenario", "--config", str(ROOT / "demos" / "table.cfg")],
-    ["scenario", *_GATE],
-], ids=["synth", "synth-rerun", "analyze", "fit", "fit-irf", "herald",
-        "herald-monte-carlo", "scenario", "scenario-temporal-gate"])
-def test_subcommand_runs_without_scipy(argv, image_path, trace_path,
-                                       tmp_path):
+# (argv, whether the run must not load numpy.ma): np.median's NaN check
+# imports numpy.ma, ~15 ms of a fresh fit; without an IRF, analyze sizes the
+# SPDC gate from the median time bin
+@pytest.mark.parametrize("argv, skips_numpy_ma", [
+    (["synth", "--out", "o", "--exposure", "1000"], False),
+    (["synth", "--config", "{image_dir}/resolved.cfg", "--out", "o"], False),
+    (["analyze", "{image}"], False),
+    (["analyze", "{image}", "--set", "lum_decay.irf_fwhm_ns=0"], True),
+    (["fit", "{trace}", "--components", "1"], True),
+    (["fit", "{image}", "--irf", "0.15", "--band", "560,700"], True),
+    (["herald", "--rs", "1e5", "--rl", "6.036e4", "--tw", "10"], False),
+    (["herald", "--ps", "1e-3", "--pl", "6.036e-4", "--monte-carlo",
+      "1000000", "--seed", "1"], False),
+    (["scenario", "--config", str(ROOT / "demos" / "table.cfg")], False),
+    (["scenario", *_GATE], False),
+], ids=["synth", "synth-rerun", "analyze", "analyze-no-irf", "fit", "fit-irf",
+        "herald", "herald-monte-carlo", "scenario", "scenario-temporal-gate"])
+def test_subcommand_runs_without_scipy(argv, skips_numpy_ma, image_path,
+                                       trace_path, tmp_path, monkeypatch,
+                                       capsys):
     # with scipy blocked, each subcommand exits, prints and writes exactly
     # what an unblocked run does
     argv = [a.format(image=image_path, image_dir=Path(image_path).parent,
                      trace=trace_path) for a in argv]
-    runs = {}
     for mode in ("blocked", "plain"):
-        cwd = tmp_path / mode
-        cwd.mkdir()
-        stdout = _fresh(_PROBE, mode, *argv, cwd=cwd)
-        runs[mode] = (stdout, {p.relative_to(cwd): p.read_bytes()
-                               for p in cwd.rglob("*") if p.is_file()})
-    assert runs["blocked"] == runs["plain"]
-    code = int(runs["plain"][0].splitlines()[-1])
+        (tmp_path / mode).mkdir()
+    stdout = _fresh(_PROBE, *argv, cwd=tmp_path / "blocked")
+    monkeypatch.chdir(tmp_path / "plain")
+    capsys.readouterr()
+    code = main(argv)
+    loaded = stdout.split()[-1]
+    assert stdout == f"{capsys.readouterr().out}{code} {loaded}\n"
+    files = {mode: {p.relative_to(tmp_path / mode): p.read_bytes()
+                    for p in (tmp_path / mode).rglob("*") if p.is_file()}
+             for mode in ("blocked", "plain")}
+    assert files["blocked"] == files["plain"]
     assert code in (0, 5)
-
-
-@pytest.mark.parametrize("argv", [
-    ["analyze", "{image}", "--set", "lum_decay.irf_fwhm_ns=0"],
-    ["fit", "{trace}", "--components", "1"],
-    ["fit", "{image}", "--irf", "0.15", "--band", "560,700"],
-], ids=["analyze-no-irf", "fit", "fit-irf"])
-def test_subcommand_skips_numpy_ma(argv, image_path, trace_path, tmp_path):
-    # np.median's NaN check imports numpy.ma, ~15 ms of a fresh fit; without
-    # an IRF, analyze sizes the SPDC gate from the median time bin
-    argv = [a.format(image=image_path, trace=trace_path) for a in argv]
-    code = ("import sys\n"
-            "from spdclum.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(code, 'numpy.ma' in sys.modules)")
-    exit_code, loaded = _fresh(code, *argv, cwd=tmp_path).split()[-2:]
-    assert exit_code in ("0", "5")
-    assert loaded == "False"
+    if skips_numpy_ma:
+        assert loaded == "False"
 
 
 def test_package_import_loads_no_scipy(tmp_path):
+    # the package imports every module, fitting included
     loaded = json.loads(_fresh("import json, sys, spdclum, spdclum.cli\n"
-                               "print(json.dumps([m for m in sys.modules "
-                               "if m.split('.')[0] == 'scipy']))",
-                               cwd=tmp_path))
-    assert loaded == []
-
-
-def test_fitting_import_loads_no_scipy(tmp_path):
-    loaded = json.loads(_fresh("import json, sys, spdclum.fitting\n"
+                               "import spdclum.fitting\n"
                                "print(json.dumps([m for m in sys.modules "
                                "if m.split('.')[0] == 'scipy']))",
                                cwd=tmp_path))

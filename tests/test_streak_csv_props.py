@@ -166,9 +166,12 @@ _FLOATS = (st.sampled_from(_EDGE_FLOATS)
 
 @st.composite
 def traces(draw):
+    # times mostly strictly increasing, as the reader takes them
     n = draw(st.integers(1, 12))
-    return tuple(np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
-                 for _ in range(2))
+    times = (st.lists(_FLOATS, min_size=n, max_size=n, unique=True).map(sorted)
+             | st.lists(_FLOATS, min_size=n, max_size=n))
+    return (np.array(draw(times)),
+            np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n))))
 
 
 @SETTINGS
@@ -179,8 +182,20 @@ def traces(draw):
        metadata=_METADATA)
 @example(trace=(np.array(_EDGE_FLOATS), -np.array(_EDGE_FLOATS)),
          column="counts", metadata={"kind": "trace"})
+# the edge floats as times, in increasing order; -0.0 stands for both zeros
+@example(trace=(np.sort(_EDGE_FLOATS[:1] + _EDGE_FLOATS[2:]),
+                -np.sort(_EDGE_FLOATS[:1] + _EDGE_FLOATS[2:])),
+         column="counts", metadata={"kind": "trace"})
 def test_trace_write_read_is_bit_exact(path, trace, column, metadata):
     times, values = trace
+    # times that do not increase strictly are refused before writing
+    if not np.all(times[1:] > times[:-1]):
+        path.unlink(missing_ok=True)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            write_trace_csv(path, times, values, metadata,
+                            value_column=column)
+        assert not path.exists()
+        return
     if not _reads_back(metadata, trace=True):
         path.unlink(missing_ok=True)
         with pytest.raises(ValueError, match="would not read back"):

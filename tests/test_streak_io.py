@@ -150,6 +150,36 @@ def test_trace_parse_errors(tmp_path):
     path.write_text("time_ns,counts\n")
     with pytest.raises(StreakParseError):
         read_trace_csv(path)
+    path.write_text("time_ns,counts\n0.0,1.0\n1.0,1.0\n1.0,2.0\n")
+    with pytest.raises(StreakParseError,
+                       match="line 4: time axis must be strictly increasing"):
+        read_trace_csv(path)
+
+
+def test_trace_header_is_one_row_at_most(tmp_path):
+    # only the first data row may be a header; a second one is a bad row
+    rows = "".join(f"{t}.0,{t + 5}.0\n" for t in range(30))
+    path = tmp_path / "trace.csv"
+    path.write_text("# decay-trace/v1\ntime_ns,counts\nfoo,bar\nbaz,qux\n"
+                    + rows)
+    with pytest.raises(StreakParseError, match="line 3: bad trace row"):
+        read_trace_csv(path)
+    path.write_text("time_ns,counts\n" + rows)
+    assert read_trace_csv(path)[0].size == 30
+
+
+@pytest.mark.parametrize("reader, body", [
+    (read_streak_csv, "500,501\n0.0,3,4\n1.0,2,2\n"),
+    (read_trace_csv, "0.0,3.0\n1.0,2.0\n"),
+], ids=["streak", "trace"])
+def test_repeated_metadata_key_is_refused(tmp_path, reader, body):
+    # a later value would silently replace the first, as a duplicate config
+    # key would; the writers never repeat a key
+    path = tmp_path / "dup.csv"
+    path.write_text("# exposure = 1000\n# seed = 3\n# exposure = 7\n" + body)
+    with pytest.raises(StreakParseError,
+                       match="line 3: duplicate metadata key 'exposure'"):
+        reader(path)
 
 
 def test_axes_must_be_finite():
