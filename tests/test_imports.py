@@ -82,55 +82,88 @@ _GATE = ["--set", "filter.1.kind=temporal_gate", "--set",
          "--set", "scenario.1.label=gated", "--set", "scenario.1.use_chain=true"]
 
 
-# (argv, whether the run must not load numpy.ma): np.median's NaN check
-# imports numpy.ma, ~15 ms of a fresh fit; without an IRF, analyze sizes the
-# SPDC gate from the median time bin
-@pytest.mark.parametrize("argv, skips_numpy_ma", [
-    (["synth", "--out", "o", "--exposure", "1000"], False),
-    (["synth", "--config", "{image_dir}/resolved.cfg", "--out", "o"], False),
-    (["analyze", "{image}"], False),
-    (["analyze", "{image}", "--set", "lum_decay.irf_fwhm_ns=0"], True),
-    (["fit", "{trace}", "--components", "1"], True),
-    (["fit", "{image}", "--irf", "0.15", "--band", "560,700"], True),
-    (["herald", "--rs", "1e5", "--rl", "6.036e4", "--tw", "10"], False),
-    (["herald", "--ps", "1e-3", "--pl", "6.036e-4", "--monte-carlo",
-      "1000000", "--seed", "1"], False),
-    (["scenario", "--config", str(ROOT / "demos" / "table.cfg")], False),
-    (["scenario", *_GATE], False),
-], ids=["synth", "synth-rerun", "analyze", "analyze-no-irf", "fit", "fit-irf",
-        "herald", "herald-monte-carlo", "scenario", "scenario-temporal-gate"])
-def test_subcommand_runs_without_scipy(argv, skips_numpy_ma, image_path,
-                                       trace_path, tmp_path, monkeypatch,
-                                       capsys):
+_ARGV = {
+    "synth": ["synth", "--out", "o", "--exposure", "1000"],
+    "synth-rerun": ["synth", "--config", "{image_dir}/resolved.cfg", "--out",
+                    "o"],
+    "analyze": ["analyze", "{image}"],
+    "analyze-no-irf": ["analyze", "{image}", "--set",
+                       "lum_decay.irf_fwhm_ns=0"],
+    "fit": ["fit", "{trace}", "--components", "1"],
+    "fit-irf": ["fit", "{image}", "--irf", "0.15", "--band", "560,700"],
+    "herald": ["herald", "--rs", "1e5", "--rl", "6.036e4", "--tw", "10"],
+    "herald-monte-carlo": ["herald", "--ps", "1e-3", "--pl", "6.036e-4",
+                           "--monte-carlo", "1000000", "--seed", "1"],
+    "scenario": ["scenario", "--config", str(ROOT / "demos" / "table.cfg")],
+    "scenario-temporal-gate": ["scenario", *_GATE],
+}
+
+
+@pytest.fixture(scope="module")
+def blocked_run(image_path, trace_path, tmp_path_factory):
+    """Runs a named argv of _ARGV in a fresh interpreter with scipy blocked,
+    once per module; returns the argv, its stdout and the files it wrote."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            argv = [a.format(image=image_path,
+                             image_dir=Path(image_path).parent,
+                             trace=trace_path) for a in _ARGV[name]]
+            cwd = tmp_path_factory.mktemp("blocked")
+            stdout = _fresh(_PROBE, *argv, cwd=cwd)
+            runs[name] = (argv, stdout, {p.relative_to(cwd): p.read_bytes()
+                                         for p in cwd.rglob("*")
+                                         if p.is_file()})
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", list(_ARGV))
+def test_subcommand_runs_without_scipy(name, blocked_run, tmp_path,
+                                       monkeypatch, capsys):
     # with scipy blocked, each subcommand exits, prints and writes exactly
     # what an unblocked run does
-    argv = [a.format(image=image_path, image_dir=Path(image_path).parent,
-                     trace=trace_path) for a in argv]
-    for mode in ("blocked", "plain"):
-        (tmp_path / mode).mkdir()
-    stdout = _fresh(_PROBE, *argv, cwd=tmp_path / "blocked")
-    monkeypatch.chdir(tmp_path / "plain")
+    argv, stdout, blocked_files = blocked_run(name)
+    monkeypatch.chdir(tmp_path)
     capsys.readouterr()
     code = main(argv)
     loaded = stdout.split()[-1]
     assert stdout == f"{capsys.readouterr().out}{code} {loaded}\n"
-    files = {mode: {p.relative_to(tmp_path / mode): p.read_bytes()
-                    for p in (tmp_path / mode).rglob("*") if p.is_file()}
-             for mode in ("blocked", "plain")}
-    assert files["blocked"] == files["plain"]
+    assert blocked_files == {p.relative_to(tmp_path): p.read_bytes()
+                             for p in tmp_path.rglob("*") if p.is_file()}
     assert code in (0, 5)
-    if skips_numpy_ma:
-        assert loaded == "False"
 
 
-def test_package_import_loads_no_scipy(tmp_path):
-    # the package imports every module, fitting included
-    loaded = json.loads(_fresh("import json, sys, spdclum, spdclum.cli\n"
-                               "import spdclum.fitting\n"
-                               "print(json.dumps([m for m in sys.modules "
-                               "if m.split('.')[0] == 'scipy']))",
-                               cwd=tmp_path))
-    assert loaded == []
+@pytest.mark.parametrize("name", ["analyze-no-irf", "fit", "fit-irf"])
+def test_subcommand_skips_numpy_ma(name, blocked_run):
+    # np.median's NaN check imports numpy.ma, ~15 ms of a fresh fit; without
+    # an IRF, analyze sizes the SPDC gate from the median time bin.  Reads
+    # the same child as test_subcommand_runs_without_scipy.
+    exit_code, loaded = blocked_run(name)[1].split()[-2:]
+    assert exit_code in ("0", "5")
+    assert loaded == "False"
+
+
+@pytest.fixture(scope="module")
+def scipy_after_import(tmp_path_factory):
+    """The scipy modules a fresh interpreter holds after importing the
+    package, the CLI and fitting."""
+    return json.loads(_fresh("import json, sys, spdclum, spdclum.cli\n"
+                             "import spdclum.fitting\n"
+                             "print(json.dumps([m for m in sys.modules "
+                             "if m.split('.')[0] == 'scipy']))",
+                             cwd=tmp_path_factory.mktemp("import")))
+
+
+def test_package_import_loads_no_scipy(scipy_after_import):
+    assert scipy_after_import == []
+
+
+def test_fitting_import_loads_no_scipy(scipy_after_import):
+    # the package __init__ imports fitting, so one child serves both checks
+    assert scipy_after_import == []
 
 
 def test_public_names_resolve():
