@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emission import EmissionModel
-from .streak import RegionOfInterest, StreakImage
+from .streak import RegionOfInterest, StreakImage, pulse_arrival_ns
 
 
 def _select(axis: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -49,10 +49,11 @@ def default_rois(model: EmissionModel, image: StreakImage, *,
     SPDC: spectral center +- 2 line FWHM crossed with t0 +- 3 IRF FWHM.
     Luminescence: the full wavelength span at times after the SPDC gate.
     Both are clamped to the image axes and guaranteed disjoint in time.  An
-    image that misses the SPDC window, or ends inside it, is a domain error.
+    image that misses the SPDC window, or ends inside it, is a domain error;
+    a pulse arrival that is not a finite number raises StreakParseError.
     """
     if t0 is None:
-        t0 = float(image.metadata.get("pulse_arrival_ns", 0.0))
+        t0 = pulse_arrival_ns(image.metadata)
     wl, t = image.wavelength_axis_nm, image.time_axis_ns
     c = model.spdc_spectrum.center_nm
     half_w = 2.0 * model.spdc_spectrum.fwhm_nm

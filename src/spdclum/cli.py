@@ -9,11 +9,12 @@ beats environment variables (prefix SPDCLUM_), which beat the config file.
 --ps/--pl are the exception: probabilities become rates only once the
 window is resolved.
 
-Every result table goes through one writer: to out.dir next to
-resolved.cfg, and to stdout in csv mode.  Rerunning with --config
-resolved.cfg reproduces the outputs byte for byte.  Exit codes: 0 success,
-2 configuration or usage error, 3 input error, 4 numerical failure,
-5 degenerate (flagged) result.
+A cmd_* returns a Result and one driver, _finish, writes resolved.cfg and
+every result file to out.dir before printing the table (csv mode, the
+file's bytes) or the report, and a stderr line in both modes.  Rerunning
+with --config resolved.cfg reproduces the outputs byte for byte.  Exit
+codes: 0 success, 2 configuration or usage error, 3 input error, 4
+numerical failure (a Result's explicit code), 5 flagged result.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ import io
 import math
 import os
 import sys
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import analysis, herald
 from .config import REGISTRY, ConfigError, RunConfig, resolve_config
 from .emission import WavelengthGrid
 from .filters import repetition_rate_alert, run_scenarios
 from .fitting import fit_multiexp
-from .streak import (RegionOfInterest, StreakParseError, read_streak_csv,
-                     read_trace_csv, write_streak_csv, write_trace_csv)
+from .streak import (RegionOfInterest, StreakParseError, pulse_arrival_ns,
+                     read_streak_csv, read_trace_csv, write_streak_csv,
+                     write_trace_csv)
 from .synth import synthesize, time_grid
 
 EXIT_OK = 0
@@ -41,63 +44,69 @@ EXIT_NUMERICAL = 4
 EXIT_FLAGGED = 5
 
 
-def _fmt(x) -> str:
-    """Full-precision CSV cell."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
-
-
 def _fmt_g(x) -> str:
     """Human-readable cell."""
     if x is None:
         return "-"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return f"{x:.6g}"
     return str(x)
 
 
-def _prepare_out(cfg: RunConfig) -> str | None:
+class Result(NamedTuple):
+    """A subcommand's outcome: report lines (flag lines included), the
+    table's file name, header and rows (none: csv mode prints the report),
+    flags, further files by name with a writer taking the path, an explicit
+    exit code, and a stderr line, which flags the result too."""
+
+    report: list[str]
+    table: str | None = None
+    header: Sequence[str] = ()
+    rows: Sequence[Sequence] = ()
+    flags: Sequence[str] = ()
+    files: Mapping[str, Callable[[str], None]] = {}
+    code: int | None = None
+    stderr: str | None = None
+
+
+def _finish(cfg: RunConfig, result: Result) -> int:
+    """Write, print and pick the exit code of a subcommand's result."""
+    text = None
+    if result.table is not None:
+        buf = io.StringIO()
+        # csv writes None as an empty cell and a float as str(), its repr
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(result.header)
+        writer.writerows(result.rows)
+        text = buf.getvalue()
     out_dir = cfg.get("out.dir")
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved.cfg"), "w",
-              encoding="utf-8") as fh:
-        fh.write(cfg.serialize())
-    return out_dir
-
-
-def _write_result(cfg: RunConfig, name: str, header, rows) -> bool:
-    """Write the result table to out.dir/<name> (with resolved.cfg) and, in
-    csv mode, the same text to stdout; True when the pretty report is due."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    text = buf.getvalue()
-    out_dir = _prepare_out(cfg)
     if out_dir is not None:
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(text)
-    if cfg.get("out.format") == "csv":
+        os.makedirs(out_dir, exist_ok=True)
+        for name, body in (("resolved.cfg", cfg.serialize()),
+                           (result.table, text)):
+            if body is not None:
+                with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+                          newline="") as fh:
+                    fh.write(body)
+        for name, write in result.files.items():
+            write(os.path.join(out_dir, name))
+    if text is not None and cfg.get("out.format") == "csv":
         sys.stdout.write(text)
-        return False
-    return True
+    else:
+        print(*result.report, sep="\n")
+    if result.stderr is not None:
+        print(result.stderr, file=sys.stderr)
+    if result.code is None and (result.flags or result.stderr is not None):
+        return EXIT_FLAGGED
+    return EXIT_OK if result.code is None else result.code
 
 
 # ----------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if cfg.get("out.dir") is None:
+def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> Result:
+    out_dir = cfg.get("out.dir")
+    if out_dir is None:
         raise ConfigError("synth writes an image file: set --out DIR "
                           "(or the out.dir key)")
     model = cfg.build_model()
@@ -116,17 +125,17 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     image = synthesize(model, wl_grid, t_grid,
                        exposure=cfg.get("synth.exposure"),
                        seed=cfg.get("seed"), t0=cfg.get("synth.t0_ns"))
-    path = os.path.join(_prepare_out(cfg), "streak.csv")
-    write_streak_csv(image, path)
     alert = repetition_rate_alert(model)
-    print(f"wrote {path}: {image.counts.shape[0]} time x "
-          f"{image.counts.shape[1]} wavelength bins, "
-          f"{image.total_counts} counts, seed {cfg.get('seed')}")
+    report = [f"wrote {os.path.join(out_dir, 'streak.csv')}: "
+              f"{image.counts.shape[0]} time x "
+              f"{image.counts.shape[1]} wavelength bins, "
+              f"{image.total_counts} counts, seed {cfg.get('seed')}"]
     if not alert.ok:
-        print(f"note: {alert.message}")
+        report.append(f"note: {alert.message}")
     if "warning" in image.metadata:
-        print(f"note: {image.metadata['warning']}")
-    return EXIT_OK
+        report.append(f"note: {image.metadata['warning']}")
+    return Result(report, files={
+        "streak.csv": lambda path: write_streak_csv(image, path)})
 
 
 def _roi_from_key(cfg: RunConfig, key: str, label: str):
@@ -140,7 +149,7 @@ def _roi_from_key(cfg: RunConfig, key: str, label: str):
                             label=label)
 
 
-def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> Result:
     image = read_streak_csv(args.image)
     spdc_roi = _roi_from_key(cfg, "analyze.spdc_roi", "spdc")
     lum_roi = _roi_from_key(cfg, "analyze.lum_roi", "luminescence")
@@ -166,24 +175,18 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
            *summary.lum_roi.wavelength_nm, *summary.lum_roi.time_ns,
            summary.overlap_mode, summary.lum_under_spdc,
            ";".join(summary.flags)]
-    if _write_result(cfg, "counts.csv", header, [row]):
-        print(f"SPDC ROI   {summary.spdc_roi.wavelength_nm[0]:.6g}-"
-              f"{summary.spdc_roi.wavelength_nm[1]:.6g} nm, "
-              f"{summary.spdc_roi.time_ns[0]:.6g}-"
-              f"{summary.spdc_roi.time_ns[1]:.6g} ns")
-        print(f"lum ROI    {summary.lum_roi.wavelength_nm[0]:.6g}-"
-              f"{summary.lum_roi.wavelength_nm[1]:.6g} nm, "
-              f"{summary.lum_roi.time_ns[0]:.6g}-"
-              f"{summary.lum_roi.time_ns[1]:.6g} ns")
-        print(f"C_S        {_fmt_g(summary.c_spdc)}")
-        print(f"C_L        {_fmt_g(summary.c_lum)}")
-        print(f"SNR        {_fmt_g(summary.snr)}")
-        if summary.overlap_mode != "none":
-            print(f"subtracted {_fmt_g(summary.lum_under_spdc)} estimated "
-                  "luminescence counts under the SPDC ROI")
-        for flag in summary.flags:
-            print(f"flag: {flag}")
-    return EXIT_FLAGGED if summary.flagged else EXIT_OK
+    report = [f"{name} {roi.wavelength_nm[0]:.6g}-{roi.wavelength_nm[1]:.6g} "
+              f"nm, {roi.time_ns[0]:.6g}-{roi.time_ns[1]:.6g} ns"
+              for name, roi in (("SPDC ROI  ", summary.spdc_roi),
+                                ("lum ROI   ", summary.lum_roi))]
+    report += [f"C_S        {_fmt_g(summary.c_spdc)}",
+               f"C_L        {_fmt_g(summary.c_lum)}",
+               f"SNR        {_fmt_g(summary.snr)}"]
+    if summary.overlap_mode != "none":
+        report.append(f"subtracted {_fmt_g(summary.lum_under_spdc)} "
+                      "estimated luminescence counts under the SPDC ROI")
+    report += [f"flag: {flag}" for flag in summary.flags]
+    return Result(report, "counts.csv", header, [row], summary.flags)
 
 
 def _load_fit_input(cfg: RunConfig, path: str):
@@ -207,19 +210,12 @@ def _load_fit_input(cfg: RunConfig, path: str):
     return read_trace_csv(path)
 
 
-def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> Result:
     times, counts, metadata = _load_fit_input(cfg, args.input)
     t0 = cfg.get("fit.t0_ns")
     if t0 is None:
         # the pulse arrival the input file records, as the default ROIs take
-        text = metadata.get("pulse_arrival_ns", "0.0")
-        try:
-            t0 = float(text)
-        except ValueError:
-            t0 = math.nan
-        if not math.isfinite(t0):
-            raise StreakParseError(
-                f"pulse_arrival_ns = {text!r} is not a finite number")
+        t0 = pulse_arrival_ns(metadata)
     fit = fit_multiexp(
         times, counts, cfg.get("fit.n_components"),
         irf_fwhm_ns=cfg.get("fit.irf_fwhm_ns"),
@@ -231,49 +227,38 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = [[f"component_{i}", comp.amplitude, comp.amplitude_rel_sigma,
              comp.lifetime_ns, comp.lifetime_rel_sigma]
             for i, comp in enumerate(fit.components, start=1)]
-    rows.append(["baseline", fit.baseline, fit.baseline_rel_sigma,
-                 None, None])
-    rows.append(["t0_ns", fit.t0_ns, None, None, None])
-    rows.append(["reduced_chi_square", fit.reduced_chi_square,
-                 None, None, None])
-    pretty = _write_result(cfg, "fit.csv", header, rows)
-    out_dir = cfg.get("out.dir")
-    if out_dir is not None:
-        write_trace_csv(os.path.join(out_dir, "residuals.csv"), times,
-                        fit.residual_trace, value_column="residual")
-    if pretty:
-        for i, comp in enumerate(fit.components, start=1):
-            print(f"component {i}: lifetime {_fmt_g(comp.lifetime_ns)} ns "
-                  f"(rel sigma {_fmt_g(comp.lifetime_rel_sigma)}), "
-                  f"amplitude {_fmt_g(comp.amplitude)} "
-                  f"(rel sigma {_fmt_g(comp.amplitude_rel_sigma)})")
-        print(f"baseline {_fmt_g(fit.baseline)} per bin, "
-              f"t0 {_fmt_g(fit.t0_ns)} ns")
-        print(f"reduced chi-square {_fmt_g(fit.reduced_chi_square)} "
-              f"({fit.n_starts} starts ranked)")
-        for flag in fit.flags:
-            print(f"flag: {flag}")
-    if not fit.converged:
-        print("fit did not converge", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_FLAGGED if fit.flags else EXIT_OK
+    rows += [["baseline", fit.baseline, fit.baseline_rel_sigma, None, None],
+             ["t0_ns", fit.t0_ns, None, None, None],
+             ["reduced_chi_square", fit.reduced_chi_square, None, None, None]]
+    report = [f"component {i}: lifetime {_fmt_g(comp.lifetime_ns)} ns "
+              f"(rel sigma {_fmt_g(comp.lifetime_rel_sigma)}), "
+              f"amplitude {_fmt_g(comp.amplitude)} "
+              f"(rel sigma {_fmt_g(comp.amplitude_rel_sigma)})"
+              for i, comp in enumerate(fit.components, start=1)]
+    report += [f"baseline {_fmt_g(fit.baseline)} per bin, "
+               f"t0 {_fmt_g(fit.t0_ns)} ns",
+               f"reduced chi-square {_fmt_g(fit.reduced_chi_square)} "
+               f"({fit.n_starts} starts ranked)",
+               *(f"flag: {flag}" for flag in fit.flags)]
+    failed = not fit.converged
+    return Result(
+        report, "fit.csv", header, rows, fit.flags,
+        files={"residuals.csv": lambda path: write_trace_csv(
+            path, times, fit.residual_trace, value_column="residual")},
+        code=EXIT_NUMERICAL if failed else None,
+        stderr="fit did not converge" if failed else None)
 
 
-def cmd_herald(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_herald(cfg: RunConfig, args: argparse.Namespace) -> Result:
     params = cfg.build_herald()
     outcome = herald.outcome_probabilities(params.p_s, params.p_l,
                                            params.p_l_signal)
     snr = params.p_s / params.p_l if params.p_l > 0.0 else math.inf
-    f_approx = 1.0 if math.isinf(snr) else snr / (1.0 + snr)
-
-    exit_code = EXIT_OK
-    mc = None
+    f_approx = herald.fidelity_from_snr(snr, params.window_ns,
+                                        params.spdc_rate_hz).f_approx
     n_windows = cfg.get("herald.n_windows")
-    if n_windows > 0:
-        mc = herald.monte_carlo_herald(params, n_windows, cfg.get("seed"))
-        if mc.flags:
-            exit_code = EXIT_FLAGGED
-
+    mc = None if n_windows == 0 else herald.monte_carlo_herald(
+        params, n_windows, cfg.get("seed"))
     ref_snr = cfg.get("herald.snr")
     est = None if ref_snr is None else herald.fidelity_from_snr(
         ref_snr, params.window_ns, params.spdc_rate_hz)
@@ -284,43 +269,36 @@ def cmd_herald(cfg: RunConfig, args: argparse.Namespace) -> int:
            outcome.n_herald, outcome.fidelity, f_approx,
            mc.fidelity_hat if mc else None, mc.fidelity_se if mc else None,
            est.f_exact if est else None, est.f_approx if est else None]
-    pretty = _write_result(cfg, "herald.csv", header, [row])
-    if pretty:
-        print(f"P_S        {_fmt_g(params.p_s)}")
-        print(f"P_L        {_fmt_g(params.p_l)}")
-        if params.lum_rate_signal_hz is not None:
-            print(f"P_L signal {_fmt_g(params.p_l_signal)}")
-        print(f"p0         {_fmt_g(outcome.p0)}   (false herald, vacuum)")
-        print(f"p1         {_fmt_g(outcome.p1)}   (heralded single photon)")
-        print(f"p2         {_fmt_g(outcome.p2)}   (photon + luminescence)")
-        print(f"N          {_fmt_g(outcome.n_herald)}")
-        print(f"F          {_fmt_g(outcome.fidelity)}")
-        print(f"F ~ SNR/(1+SNR) = {_fmt_g(f_approx)} at rate SNR "
-              f"{_fmt_g(snr)}")
-        if mc is not None:
-            print(f"monte carlo: {mc.n_windows} windows, "
-                  f"{mc.n_heralded} heralds, F = {_fmt_g(mc.fidelity_hat)} "
-                  f"+- {_fmt_g(mc.fidelity_se)}")
-            if mc.fidelity_se and not math.isnan(mc.fidelity_hat):
-                z = abs(mc.fidelity_hat - outcome.fidelity) / mc.fidelity_se
-                print(f"analytic vs monte carlo: {z:.2f} standard errors")
-            for flag in mc.flags:
-                print(f"flag: {flag}")
-        if est is not None:
-            print(f"from measured SNR {_fmt_g(ref_snr)}: F_exact "
-                  f"{_fmt_g(est.f_exact)}, F_approx {_fmt_g(est.f_approx)}")
-
-    if est is not None and est.flagged:
-        print("flag: nonpositive fidelity at this SNR", file=sys.stderr)
-        exit_code = EXIT_FLAGGED
-    return exit_code
+    report = [f"P_S        {_fmt_g(params.p_s)}",
+              f"P_L        {_fmt_g(params.p_l)}"]
+    if params.lum_rate_signal_hz is not None:
+        report.append(f"P_L signal {_fmt_g(params.p_l_signal)}")
+    report += [
+        f"p0         {_fmt_g(outcome.p0)}   (false herald, vacuum)",
+        f"p1         {_fmt_g(outcome.p1)}   (heralded single photon)",
+        f"p2         {_fmt_g(outcome.p2)}   (photon + luminescence)",
+        f"N          {_fmt_g(outcome.n_herald)}",
+        f"F          {_fmt_g(outcome.fidelity)}",
+        f"F ~ SNR/(1+SNR) = {_fmt_g(f_approx)} at rate SNR {_fmt_g(snr)}"]
+    if mc is not None:
+        report.append(f"monte carlo: {mc.n_windows} windows, "
+                      f"{mc.n_heralded} heralds, F = {_fmt_g(mc.fidelity_hat)}"
+                      f" +- {_fmt_g(mc.fidelity_se)}")
+        if mc.fidelity_se and not math.isnan(mc.fidelity_hat):
+            z = abs(mc.fidelity_hat - outcome.fidelity) / mc.fidelity_se
+            report.append(f"analytic vs monte carlo: {z:.2f} standard errors")
+        report += [f"flag: {flag}" for flag in mc.flags]
+    if est is not None:
+        report.append(f"from measured SNR {_fmt_g(ref_snr)}: F_exact "
+                      f"{_fmt_g(est.f_exact)}, F_approx {_fmt_g(est.f_approx)}")
+    return Result(report, "herald.csv", header, [row], mc.flags if mc else (),
+                  stderr="flag: nonpositive fidelity at this SNR"
+                  if est is not None and est.flagged else None)
 
 
-def cmd_scenario(cfg: RunConfig, args: argparse.Namespace) -> int:
-    model = cfg.build_model()
-    chain = cfg.build_chain()
-    specs = cfg.build_scenarios()
-    results = run_scenarios(model, chain, specs,
+def cmd_scenario(cfg: RunConfig, args: argparse.Namespace) -> Result:
+    results = run_scenarios(cfg.build_model(), cfg.build_chain(),
+                            cfg.build_scenarios(),
                             window_ns=cfg.get("scenario.window_ns"),
                             spdc_rate_hz=cfg.get("scenario.spdc_rate_hz"))
     header = ["label", "c_spdc", "c_lum", "snr", "f_exact", "f_approx",
@@ -328,22 +306,17 @@ def cmd_scenario(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = [[r.label, r.c_spdc, r.c_lum, r.snr, r.f_exact, r.f_approx,
              r.reference_snr, ";".join(r.flags), ";".join(r.notes)]
             for r in results]
-    if _write_result(cfg, "scenarios.csv", header, rows):
-        width = max([len(r.label) for r in results] + [5])
-        print(f"{'label':<{width}} {'C_S':>12} {'C_L':>12} {'SNR':>10} "
-              f"{'F':>8} {'F~':>8}")
-        for r in results:
-            print(f"{r.label:<{width}} {_fmt_g(r.c_spdc):>12} "
-                  f"{_fmt_g(r.c_lum):>12} {_fmt_g(r.snr):>10} "
-                  f"{r.f_exact:>8.4f} {r.f_approx:>8.4f}")
-        for r in results:
-            for note in r.notes:
-                print(f"note [{r.label}]: {note}")
-            for flag in r.flags:
-                print(f"flag [{r.label}]: {flag}")
-    if any(r.flagged for r in results):
-        return EXIT_FLAGGED
-    return EXIT_OK
+    width = max([len(r.label) for r in results] + [5])
+    report = [f"{'label':<{width}} {'C_S':>12} {'C_L':>12} {'SNR':>10} "
+              f"{'F':>8} {'F~':>8}"]
+    report += [f"{r.label:<{width}} {_fmt_g(r.c_spdc):>12} "
+               f"{_fmt_g(r.c_lum):>12} {_fmt_g(r.snr):>10} "
+               f"{r.f_exact:>8.4f} {r.f_approx:>8.4f}" for r in results]
+    for r in results:
+        report += [f"note [{r.label}]: {note}" for note in r.notes]
+        report += [f"flag [{r.label}]: {flag}" for flag in r.flags]
+    return Result(report, "scenarios.csv", header, rows,
+                  [flag for r in results for flag in r.flags])
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +441,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(_resolve(args), args)
+        cfg = _resolve(args)
+        return _finish(cfg, args.run(cfg, args))
     except (StreakParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE

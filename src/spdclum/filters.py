@@ -171,8 +171,7 @@ class FilterChain:
         filters = tuple(self.filters)
         object.__setattr__(self, "filters", filters)
         for f in filters:
-            if not isinstance(f, (Polarizer, LongpassFilter, BandpassFilter,
-                                  TemporalGate)):
+            if not isinstance(f, FilterSpec):
                 raise TypeError(f"not a filter: {f!r}")
         n_gates = sum(isinstance(f, TemporalGate) for f in filters)
         if n_gates > 1:

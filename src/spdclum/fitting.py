@@ -83,10 +83,6 @@ class DecayFit:
     def lifetimes_ns(self) -> tuple[float, ...]:
         return tuple(c.lifetime_ns for c in self.components)
 
-    @property
-    def amplitudes(self) -> tuple[float, ...]:
-        return tuple(c.amplitude for c in self.components)
-
 
 class LeastSquaresResult(NamedTuple):
     """Outcome of least_squares.

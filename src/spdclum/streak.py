@@ -114,6 +114,20 @@ class StreakImage:
         return kernels.median_step(self.time_axis_ns)
 
 
+def pulse_arrival_ns(metadata: Mapping[str, str]) -> float:
+    """The pump pulse arrival a file's metadata records, 0 when absent; a
+    value that is not a finite number raises StreakParseError."""
+    text = metadata.get("pulse_arrival_ns", "0.0")
+    try:
+        t0 = float(text)
+    except ValueError:
+        t0 = math.nan
+    if not math.isfinite(t0):
+        raise StreakParseError(
+            f"pulse_arrival_ns = {text!r} is not a finite number")
+    return t0
+
+
 @dataclass(frozen=True)
 class RegionOfInterest:
     """Rectangle in (wavelength, time); bounds are inclusive on bin centers."""
@@ -166,8 +180,9 @@ def write_trace_csv(path, time_ns, values, metadata=None,
 
     Same metadata conventions as the streak format; one ``time_ns,<value>``
     row per bin.  Deterministic bytes.  A value column name that would
-    split the header row, times that do not increase strictly, or metadata
-    that would not read back unchanged, are refused.
+    split the header row, non-finite times or values, times that do not
+    increase strictly, or metadata that would not read back unchanged, are
+    refused.
     """
     if set(value_column) & set(",\r\n"):
         raise ValueError(f"value column name {value_column!r} must hold no "
@@ -176,6 +191,8 @@ def write_trace_csv(path, time_ns, values, metadata=None,
     values = np.asarray(values, dtype=float)
     if time_ns.shape != values.shape or time_ns.ndim != 1:
         raise ValueError("time and value arrays must be equal-length 1-d")
+    if not (np.isfinite(time_ns).all() and np.isfinite(values).all()):
+        raise ValueError("trace times and values must be finite")
     if not np.all(time_ns[1:] > time_ns[:-1]):
         raise ValueError("time axis must be strictly increasing")
     lines = ["# decay-trace/v1", *_metadata_lines(metadata or {})]

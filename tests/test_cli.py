@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process."""
 
+import contextlib
 import csv
 import io
 import os
@@ -661,3 +662,137 @@ def test_csv_stdout_equals_written_file(tmp_path, capsys, argv, name):
     assert code in (0, 5)
     assert text.encode("utf-8") == (out / name).read_bytes()
     assert (out / "resolved.cfg").exists()
+
+
+@pytest.fixture(scope="module")
+def image_path(tmp_path_factory):
+    out = tmp_path_factory.mktemp("img")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(out), "--exposure", "20000"]) == 0
+    return str(out / "streak.csv")
+
+
+def test_synth_prints_both_notes(tmp_path, capsys):
+    # a pump period under 5 slowest lifetimes, and bins wider than the IRF
+    code, text, _ = run(capsys, "synth", "--out", str(tmp_path / "o"),
+                        "--exposure", "1000",
+                        "--set", "pump.repetition_rate_hz=1e6",
+                        "--set", "synth.time_step_ns=0.2")
+    assert code == 0
+    notes = text.splitlines()[1:]
+    assert len(notes) == 2
+    assert notes[0].startswith("note: period 1000 ns")
+    assert notes[1].startswith("note: time bin width 0.2 ns")
+    assert notes[1].endswith("under-resolved")
+
+
+def test_analyze_reports_an_explicit_roi(image_path, capsys):
+    code, text, _ = run(capsys, "analyze", image_path,
+                        "--set", "analyze.spdc_roi=524,544,-0.5,0.5")
+    assert code == 0
+    assert text.splitlines()[0] == "SPDC ROI   524-544 nm, -0.5-0.5 ns"
+
+
+def test_analyze_malformed_roi_exits_2(image_path, capsys):
+    code, _, err = run(capsys, "analyze", image_path,
+                       "--set", "analyze.lum_roi=1,2,3")
+    assert code == 2
+    assert "analyze.lum_roi" in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan"])
+def test_analyze_bad_pulse_arrival_exits_3(tmp_path, capsys, bad):
+    # the default ROIs read the pulse arrival as the fit does
+    image = tmp_path / "x.csv"
+    image.write_text("# streak-image/v1\n# exposure = 5\n"
+                     f"# pulse_arrival_ns = {bad}\n500.0,530.0,540.0,600.0\n"
+                     "-1.0,1,2,3,4\n0.0,1,2,3,4\n1.0,1,2,3,4\n2.0,1,2,3,4\n")
+    code, _, err = run(capsys, "analyze", str(image))
+    assert code == 3
+    assert err == (f"input error: pulse_arrival_ns = '{bad}' is not a finite "
+                   "number\n")
+
+
+def test_herald_monte_carlo_without_heralds_exits_5(capsys):
+    argv = ["herald", "--ps", "1e-9", "--pl", "1e-9", "--monte-carlo", "10",
+            "--seed", "1"]
+    code, text, _ = run(capsys, *argv)
+    assert code == 5
+    assert "monte carlo: 10 windows, 0 heralds" in text
+    assert text.splitlines()[-1] == "flag: no-heralds"
+    code, text, err = run(capsys, *argv, "--format", "csv")
+    assert code == 5
+    assert len(text.splitlines()) == 2 and "flag" not in text
+    assert err == ""
+
+
+def test_herald_reports_the_signal_rate(capsys):
+    code, text, _ = run(capsys, "herald",
+                        "--set", "herald.lum_rate_signal_hz=1e4")
+    assert code == 0
+    assert "P_L signal 0.0001\n" in text
+
+
+@pytest.mark.parametrize("argv", [["--set", "nokey"], ["--ps", "abc"]],
+                         ids=["set-without-value", "bad-probability"])
+def test_herald_bad_input_exits_2(capsys, argv):
+    code, text, err = run(capsys, "herald", *argv)
+    assert code == 2
+    assert text == ""
+    assert err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv, table, err", [
+    (["analyze", "IMAGE"], "counts.csv", ""),
+    (["fit", "IMAGE", "--components", "1", "--irf", "0.15", "--band",
+      "560,700"], "fit.csv", ""),
+    (["herald", "--monte-carlo", "10000", "--snr", "0.0005"], "herald.csv",
+     "flag: nonpositive fidelity at this SNR\n"),
+    (["scenario", "--config", str(ROOT / "demos" / "table.cfg")],
+     "scenarios.csv", ""),
+], ids=["analyze", "fit", "herald-flagged", "scenario"])
+def test_csv_mode_prints_the_table_file_and_reruns(tmp_path, capsys,
+                                                   image_path, argv, table,
+                                                   err):
+    # csv mode prints exactly the table file; a flag goes to stderr only;
+    # a rerun from resolved.cfg gives the same bytes and files
+    argv = [image_path if a == "IMAGE" else a for a in argv]
+    positional = argv[:2] if argv[1] == image_path else argv[:1]
+    d, d2 = tmp_path / "d", tmp_path / "d2"
+    code, text, stderr = run(capsys, *argv, "--format", "csv",
+                             "--out", str(d))
+    assert code == (5 if err else 0)
+    assert stderr == err
+    assert text.encode("utf-8") == (d / table).read_bytes()
+    rerun = run(capsys, *positional, "--config", str(d / "resolved.cfg"),
+                "--out", str(d2))
+    assert rerun == (code, text, err)
+    names = sorted(p.name for p in d.iterdir())
+    assert names == sorted(p.name for p in d2.iterdir())
+    for name in names:
+        if name != "resolved.cfg":
+            assert (d / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("shape", ["spike", "exp"])
+def test_fit_overflowing_trace_writes_finite_residuals(tmp_path, capsys,
+                                                       shape):
+    import numpy as np
+
+    from spdclum.streak import read_trace_csv, write_trace_csv
+
+    t = 0.05 * np.arange(201) - 2.0
+    if shape == "spike":
+        y = np.zeros_like(t)
+        y[60] = 1e300
+    else:
+        y = 1e308 * np.exp(-np.abs(t))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), t, y)
+    out = tmp_path / "d"
+    code, _, err = run(capsys, "fit", str(path), "--components", "1",
+                       "--out", str(out))
+    assert code == 4
+    assert err == "fit did not converge\n"
+    times, residuals, _ = read_trace_csv(out / "residuals.csv")
+    assert np.array_equal(times, t) and np.isfinite(residuals).all()

@@ -214,6 +214,21 @@ def test_trace_nonfinite_row_rejected(tmp_path, row):
     assert "finite" in str(err.value)
 
 
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0], [np.nan, 1.0]),
+    ([0.0, 1.0], [2.0, -np.inf]),
+    ([np.nan], [1.0]),
+    ([0.0, np.inf], [1.0, 2.0]),
+], ids=["nan-value", "inf-value", "lone-nan-time", "inf-time"])
+def test_trace_writer_refuses_nonfinite(tmp_path, times, values):
+    # the reader refuses such rows, so the writer refuses them before
+    # writing anything; a lone NaN time has no neighbour to fail the order
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="must be finite"):
+        write_trace_csv(path, times, values)
+    assert not path.exists()
+
+
 def test_parse_error_count_beyond_int64(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(f"# exposure = 5\n500,501\n0.0,3,4\n1.0,2,{2**63}\n")
