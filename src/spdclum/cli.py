@@ -44,13 +44,9 @@ EXIT_NUMERICAL = 4
 EXIT_FLAGGED = 5
 
 
-def _fmt_g(x) -> str:
-    """Human-readable cell."""
-    if x is None:
-        return "-"
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
+def _fmt_g(x: float) -> str:
+    """A number in the pretty report."""
+    return f"{x:.6g}"
 
 
 class Result(NamedTuple):
@@ -81,15 +77,19 @@ def _finish(cfg: RunConfig, result: Result) -> int:
         text = buf.getvalue()
     out_dir = cfg.get("out.dir")
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, body in (("resolved.cfg", cfg.serialize()),
-                           (result.table, text)):
-            if body is not None:
-                with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                          newline="") as fh:
-                    fh.write(body)
-        for name, write in result.files.items():
-            write(os.path.join(out_dir, name))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            for name, body in (("resolved.cfg", cfg.serialize()),
+                               (result.table, text)):
+                if body is not None:
+                    with open(os.path.join(out_dir, name), "w",
+                              encoding="utf-8", newline="") as fh:
+                        fh.write(body)
+            for name, write in result.files.items():
+                write(os.path.join(out_dir, name))
+        except OSError as exc:
+            # where results go is configuration, not input
+            raise ConfigError(f"out.dir: {exc}") from exc
     if text is not None and cfg.get("out.format") == "csv":
         sys.stdout.write(text)
     else:
@@ -191,12 +191,9 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> Result:
 
 def _load_fit_input(cfg: RunConfig, path: str):
     """(times, counts, metadata) of a trace CSV, or of an image's band."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().strip()
-    except UnicodeDecodeError as exc:
-        raise StreakParseError(
-            f"not a UTF-8 text file ({exc.reason})") from None
+    # the reader refuses a file that is not UTF-8 text
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        first = fh.readline().strip()
     if first == "# streak-image/v1":
         image = read_streak_csv(path)
         band = cfg.get("fit.band_nm")

@@ -17,9 +17,10 @@ comma-separated float lists, and `none` for optional keys.
 Resolution order: registry defaults, then the config file, then environment
 variables, then explicit overrides (CLI flags).  Environment variables use
 the prefix SPDCLUM_ with `.` spelled as `__`, e.g.
-SPDCLUM_LUM_SPECTRUM__CENTER_NM=435.  A resolved configuration serializes to
-the same format with every key explicit, so a run can be reproduced from the
-file it wrote.
+SPDCLUM_LUM_SPECTRUM__CENTER_NM=435.  The resolved configuration is one
+table in one order (registry keys, then filter and scenario groups by index,
+a filter's kind first); it serializes in that order with every key explicit,
+so a run can be reproduced from the file it wrote.
 """
 
 from __future__ import annotations
@@ -224,12 +225,12 @@ _FILTER_KIND_SPEC = _k("str", None, choices=tuple(_FILTER_KINDS))
 
 
 class RunConfig:
-    """Fully-resolved configuration: every registry key has a value."""
+    """Fully-resolved configuration: one table holding a value for every
+    registry key and every member of each numbered group, in serialization
+    order."""
 
-    def __init__(self, values: dict, groups: dict):
+    def __init__(self, values: dict):
         self._values = values
-        # groups: family -> {index -> {member -> value}}
-        self._groups = groups
 
     def get(self, key: str):
         try:
@@ -238,24 +239,20 @@ class RunConfig:
             raise ConfigError(f"unknown key: {key}") from None
 
     def group_indices(self, family: str) -> list[int]:
-        return sorted(self._groups.get(family, ()))
+        return sorted({int(m[2]) for m in map(_GROUP_RE.match, self._values)
+                       if m and m[1] == family})
 
     def group(self, family: str, index: int) -> dict:
-        return dict(self._groups[family][index])
+        prefix = f"{family}.{index}."
+        return {key[len(prefix):]: value for key, value in self._values.items()
+                if key.startswith(prefix)}
 
     # -- serialization ----------------------------------------------------
 
     def serialize(self) -> str:
         lines = ["# resolved run configuration"]
-        for key in REGISTRY:
-            lines.append(f"{key} = {_format_value(self._values[key])}")
-        for family in ("filter", "scenario"):
-            for index in self.group_indices(family):
-                members = self._groups[family][index]
-                for member, value in members.items():
-                    lines.append(
-                        f"{family}.{index}.{member} = "
-                        f"{_format_value(value)}")
+        for key, value in self._values.items():
+            lines.append(f"{key} = {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
     # -- builders ----------------------------------------------------------
@@ -380,72 +377,64 @@ def resolve_config(path: str | None = None, *,
     """
     if environ is None:
         environ = os.environ
-    layers: list[dict[str, str]] = []
+    merged: dict[str, str] = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        layers.append(_parse_assignments(text, path))
-    layers.append(_env_assignments(environ))
-    if overrides:
-        layers.append(dict(overrides))
+        merged.update(_parse_assignments(text, path))
+    merged.update(_env_assignments(environ))
+    merged.update(overrides or {})
 
-    merged: dict[str, str] = {}
-    for layer in layers:
-        merged.update(layer)
-
-    # split scalar keys from group keys
-    scalar_raw: dict[str, str] = {}
-    group_raw: dict[str, dict[int, dict[str, str]]] = {}
+    # every key is a registry key or a numbered group's member, whose index
+    # is read as an integer
+    raw: dict[str, str] = {}
+    indices: dict[str, set[int]] = {"filter": set(), "scenario": set()}
     for key, text in merged.items():
         m = _GROUP_RE.match(key)
         if m:
-            family, index, member = m.group(1), int(m.group(2)), m.group(3)
-            if index < 1:
+            if int(m[2]) < 1:
                 raise ConfigError(f"{key}: group indices start at 1")
-            group_raw.setdefault(family, {}).setdefault(index, {})[member] = \
-                text
-        elif key in REGISTRY:
-            scalar_raw[key] = text
-        else:
+            indices[m[1]].add(int(m[2]))
+            key = f"{m[1]}.{int(m[2])}.{m[3]}"
+        elif key not in REGISTRY:
             raise ConfigError(f"unknown key: {key}")
+        raw[key] = text
 
     values = {}
-    for key, spec in REGISTRY.items():
-        if key in scalar_raw:
-            values[key] = spec.parse(key, scalar_raw[key])
-        else:
-            values[key] = spec.default
-
-    groups: dict[str, dict[int, dict]] = {}
-    for family, by_index in group_raw.items():
-        for index, members in sorted(by_index.items()):
-            parsed = _parse_group(family, index, members)
-            groups.setdefault(family, {})[index] = parsed
-    return RunConfig(values, groups)
+    for key, spec in _key_specs(raw, indices, values):
+        values[key] = (spec.parse(key, raw.pop(key)) if key in raw
+                       else spec.default)
+    for key in raw:
+        # left over: a member that its group's family or kind lacks
+        kind = values.get(key.rpartition(".")[0] + ".kind")
+        why = f" (not a member of kind {kind})" if kind else ""
+        raise ConfigError(f"unknown key: {key}{why}")
+    return RunConfig(values)
 
 
-def _parse_group(family: str, index: int, members: dict[str, str]) -> dict:
-    prefix = f"{family}.{index}"
-    if family == "scenario":
-        specs, parsed, unknown = _SCENARIO_MEMBERS, {}, ""
-    else:
-        if "kind" not in members:
-            raise ConfigError(f"{prefix}: missing {prefix}.kind")
-        kind = _FILTER_KIND_SPEC.parse(f"{prefix}.kind", members["kind"])
-        specs = _FILTER_KINDS[kind][1]
-        parsed, unknown = {"kind": kind}, f" (not a member of kind {kind})"
-    for member, spec in specs.items():
-        key = f"{prefix}.{member}"
-        if member in members:
-            parsed[member] = spec.parse(key, members[member])
-        elif spec.default is None and not spec.optional:
-            raise ConfigError(f"{key} is required for kind {parsed['kind']}")
-        else:
-            parsed[member] = spec.default
-    for member in members:
-        if member not in parsed:
-            raise ConfigError(f"unknown key: {prefix}.{member}{unknown}")
-    return parsed
+def _key_specs(raw: dict, indices: dict, values: dict):
+    """Yield (key, spec) in serialization order: the registry, then each
+    numbered group's members, kind first, filter groups before scenario
+    groups.  A filter group's members follow from its kind, which the
+    caller has parsed into values before asking for them; a required
+    member that raw lacks raises here."""
+    yield from REGISTRY.items()
+    for family in ("filter", "scenario"):
+        for index in sorted(indices[family]):
+            prefix = f"{family}.{index}"
+            members = _SCENARIO_MEMBERS
+            if family == "filter":
+                if f"{prefix}.kind" not in raw:
+                    raise ConfigError(f"{prefix}: missing {prefix}.kind")
+                yield f"{prefix}.kind", _FILTER_KIND_SPEC
+                kind = values[f"{prefix}.kind"]
+                members = _FILTER_KINDS[kind][1]
+            for member, spec in members.items():
+                key = f"{prefix}.{member}"
+                if key not in raw and spec.default is None and \
+                        not spec.optional:
+                    raise ConfigError(f"{key} is required for kind {kind}")
+                yield key, spec

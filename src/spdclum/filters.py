@@ -61,8 +61,19 @@ def _check_on_grid(name: str, value: float, model: EmissionModel):
             f"[{grid.min_nm:g}, {grid.max_nm:g}] nm")
 
 
+class _SpectralFilter:
+    """A filter passing the share of each emission's spectrum that falls in
+    its band, through the subclass's _band(profile, model)."""
+
+    def spdc_factor(self, model: EmissionModel) -> float:
+        return self._band(model.spdc_spectrum, model)
+
+    def lum_factor(self, model: EmissionModel) -> float:
+        return self._band(model.lum_spectrum, model)
+
+
 @dataclass(frozen=True)
-class LongpassFilter:
+class LongpassFilter(_SpectralFilter):
     """Idealized edge filter: step at the cutoff with a flat plateau.
 
     Real edge filters transmit less than unity even in their plateau, so the
@@ -83,15 +94,9 @@ class LongpassFilter:
                          (self.cutoff_nm, model.grid.max_nm))
         return self.transmission * mass
 
-    def spdc_factor(self, model: EmissionModel) -> float:
-        return self._band(model.spdc_spectrum, model)
-
-    def lum_factor(self, model: EmissionModel) -> float:
-        return self._band(model.lum_spectrum, model)
-
 
 @dataclass(frozen=True)
-class BandpassFilter:
+class BandpassFilter(_SpectralFilter):
     """Idealized interference filter: top-hat of width fwhm_nm."""
 
     center_nm: float
@@ -110,12 +115,6 @@ class BandpassFilter:
         mass = band_mass(profile, model.grid,
                          (self.center_nm - half, self.center_nm + half))
         return self.peak_transmission * mass
-
-    def spdc_factor(self, model: EmissionModel) -> float:
-        return self._band(model.spdc_spectrum, model)
-
-    def lum_factor(self, model: EmissionModel) -> float:
-        return self._band(model.lum_spectrum, model)
 
 
 @dataclass(frozen=True)
@@ -184,24 +183,19 @@ class FilterChain:
         return len(self.filters)
 
 
-def _clip01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
+def _transmit(factors) -> float:
+    """Product of the factors, each clipped to [0, 1]."""
+    return math.prod((min(max(f, 0.0), 1.0) for f in factors), start=1.0)
 
 
 def transmit_spdc(chain: FilterChain, model: EmissionModel) -> float:
     """Fraction of the SPDC rate surviving the chain (empty chain -> 1)."""
-    out = 1.0
-    for f in chain:
-        out *= _clip01(f.spdc_factor(model))
-    return _clip01(out)
+    return _transmit(f.spdc_factor(model) for f in chain)
 
 
 def transmit_luminescence(chain: FilterChain, model: EmissionModel) -> float:
     """Fraction of the luminescence rate surviving the chain."""
-    out = 1.0
-    for f in chain:
-        out *= _clip01(f.lum_factor(model))
-    return _clip01(out)
+    return _transmit(f.lum_factor(model) for f in chain)
 
 
 @dataclass(frozen=True)

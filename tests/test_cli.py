@@ -796,3 +796,62 @@ def test_fit_overflowing_trace_writes_finite_residuals(tmp_path, capsys,
     assert err == "fit did not converge\n"
     times, residuals, _ = read_trace_csv(out / "residuals.csv")
     assert np.array_equal(times, t) and np.isfinite(residuals).all()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scenario", "--set", "filter.1.kind=longpass",
+      "--set", "filter.1.cutoff_nm=460", "--set", "filter.1.transmission=2"],
+     "filter.1: transmission must be in (0, 1]"),
+    (["scenario", "--set", "filter.1.kind=temporal_gate",
+      "--set", "filter.1.window_ns=10", "--set", "filter.2.kind=temporal_gate",
+      "--set", "filter.2.window_ns=5"],
+     "a chain carries at most one temporal gate"),
+    (["scenario", "--set", "scenario.1.spdc_fraction=2"],
+     "scenario.1: spdc_fraction must be in [0, 1]"),
+    (["herald", "--set", "seed=1.5"], "seed: not an integer: '1.5'"),
+    (["herald", "--set", "lum_decay.amplitudes="],
+     "lum_decay.amplitudes: empty list"),
+    (["scenario", "--set", "seed=x", "--set", "filter.1.cutoff_nm=460"],
+     "seed: not an integer: 'x'"),
+    (["synth", "--out", "OUT", "--set", "synth.wavelength_min_nm=450",
+      "--set", "synth.wavelength_max_nm=620"],
+     "set all three synth.wavelength_* keys or none"),
+    (["fit", "IMAGE", "--set", "fit.band_nm=514,554,600"],
+     "fit.band_nm: expected 2 numbers (lo, hi)"),
+], ids=["refused-filter-member", "two-gates", "refused-row-member",
+        "fractional-seed", "empty-list", "scalar-before-group",
+        "two-wavelength-keys", "three-band-numbers"])
+def test_configuration_errors_exit_2(tmp_path, capsys, image_path, argv,
+                                     message):
+    argv = [{"OUT": str(tmp_path / "o"), "IMAGE": image_path}.get(a, a)
+            for a in argv]
+    code, text, err = run(capsys, *argv)
+    assert (code, text, err) == (2, "", f"configuration error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_errors_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\nFilter.1.kind = longpass\n")
+    code, _, err = run(capsys, "scenario", "--config", str(cfg))
+    assert code == 2
+    assert err == (f"configuration error: {cfg} line 2: bad key "
+                   "'Filter.1.kind'\n")
+    missing = tmp_path / "no.cfg"
+    code, _, err = run(capsys, "scenario", "--config", str(missing))
+    assert code == 2
+    assert err.startswith(
+        f"configuration error: cannot read config file {missing}: ")
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+def test_unwritable_out_dir_exits_2(tmp_path, capsys, sub):
+    # where results go is configuration; a missing input still exits 3
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    out = os.path.join(taken, sub) if sub else str(taken)
+    code, text, err = run(capsys, "herald", "--out", out)
+    assert code == 2
+    assert text == ""
+    assert err.startswith("configuration error: out.dir: [Errno ")
+    assert taken.read_text() == "x"

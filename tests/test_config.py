@@ -3,7 +3,8 @@
 import pytest
 
 from spdclum.config import ENV_PREFIX, REGISTRY, ConfigError, resolve_config
-from spdclum.filters import BandpassFilter, LongpassFilter, Polarizer, TemporalGate
+from spdclum.filters import (BandpassFilter, LongpassFilter, Polarizer,
+                             TemporalGate, run_scenarios)
 
 
 def test_defaults_resolve():
@@ -234,3 +235,80 @@ def test_negative_integers_rejected(key):
     for text in ("-1", "-1e3"):
         with pytest.raises(ConfigError, match=f"^{key}: must be nonnegative"):
             resolve_config(overrides={key: text}, environ={})
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"filter.1.kind": "longpass", "filter.1.cutoff_nm": "460",
+      "filter.1.transmission": "2"},
+     "filter.1: transmission must be in (0, 1]"),
+    ({"filter.1.kind": "temporal_gate", "filter.1.window_ns": "10",
+      "filter.2.kind": "temporal_gate", "filter.2.window_ns": "5"},
+     "a chain carries at most one temporal gate"),
+], ids=["refused-member", "two-gates"])
+def test_build_chain_wraps_filter_errors(overrides, message):
+    cfg = resolve_config(overrides=overrides, environ={})
+    with pytest.raises(ConfigError) as err:
+        cfg.build_chain()
+    assert str(err.value) == message
+
+
+def test_build_scenarios_wraps_row_errors():
+    cfg = resolve_config(overrides={"scenario.1.spdc_fraction": "2"},
+                         environ={})
+    with pytest.raises(ConfigError) as err:
+        cfg.build_scenarios()
+    assert str(err.value) == "scenario.1: spdc_fraction must be in [0, 1]"
+
+
+def test_malformed_key_names_file_and_line(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("seed = 1\nFilter.1.kind = longpass\n")
+    with pytest.raises(ConfigError) as err:
+        resolve_config(str(p), environ={})
+    assert str(err.value) == f"{p} line 2: bad key 'Filter.1.kind'"
+
+
+def test_unreadable_config_file(tmp_path):
+    with pytest.raises(ConfigError, match="^cannot read config file "):
+        resolve_config(str(tmp_path / "missing.cfg"), environ={})
+
+
+@pytest.mark.parametrize("key, text, message", [
+    ("seed", "x", "seed: not an integer: 'x'"),
+    ("seed", "1.5", "seed: not an integer: '1.5'"),
+    ("lum_decay.amplitudes", "", "lum_decay.amplitudes: empty list"),
+])
+def test_scalar_parse_messages(key, text, message):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(overrides={key: text}, environ={})
+    assert str(err.value) == message
+
+
+def test_scalar_error_reported_before_group_error():
+    # filter.1 lacks its kind, but the bad scalar is reported first
+    with pytest.raises(ConfigError) as err:
+        resolve_config(overrides={"seed": "x", "filter.1.cutoff_nm": "460"},
+                       environ={})
+    assert str(err.value) == "seed: not an integer: 'x'"
+
+
+def test_get_answers_group_members():
+    cfg = resolve_config(overrides={
+        "filter.1.kind": "longpass", "filter.1.cutoff_nm": "460",
+        "scenario.1.label": "row"}, environ={})
+    assert cfg.get("filter.1.cutoff_nm") == 460.0
+    assert cfg.get("filter.1.transmission") == 0.95
+    assert cfg.get("scenario.1.label") == "row"
+    assert cfg.get("scenario.1.use_chain") is False
+    with pytest.raises(ConfigError, match="unknown key: filter.2.kind"):
+        cfg.get("filter.2.kind")
+
+
+def test_scenario_row_counts_times_fractions():
+    # explicit counts are multiplied by the explicit fraction, not replaced
+    cfg = resolve_config(overrides={
+        "scenario.1.c_spdc": "100", "scenario.1.c_lum": "10",
+        "scenario.1.spdc_fraction": "0.5"}, environ={})
+    [row] = run_scenarios(cfg.build_model(), cfg.build_chain(),
+                          cfg.build_scenarios())
+    assert (row.c_spdc, row.c_lum, row.snr) == (50.0, 10.0, 5.0)

@@ -674,3 +674,83 @@ def test_kernel_memo_never_serves_a_stale_point(case):
                 got = getattr(design, method)(theta)
                 want = getattr(make(), method)(theta)
                 assert np.array_equal(got, want), (case, i, method)
+
+
+def _solve_free(fun, x0, jac, max_nfev=500):
+    # unbounded, under the overflow guard fit_multiexp solves in
+    x0 = np.asarray(x0, dtype=float)
+    free = (np.full(x0.size, -np.inf), np.full(x0.size, np.inf))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return least_squares(fun, x0, jac, free, max_nfev)
+
+
+def _assert_stopped_at(res, fun):
+    # status 0 at the last accepted point
+    assert res.status == 0
+    assert np.all(np.isfinite(res.x))
+    assert res.cost == 0.5 * float(fun(res.x) @ fun(res.x))
+
+
+def test_least_squares_stops_on_a_nonfinite_jacobian():
+    def fun(x):
+        return np.array([x[0] - 3.0])
+
+    def jac(x):
+        return np.array([[1.0 if x[0] == 0.0 else np.nan]])
+
+    res = _solve_free(fun, [0.0], jac)
+    # one step was accepted; the Jacobian there ends the solve
+    _assert_stopped_at(res, fun)
+    assert res.nfev == 2
+    assert res.x[0] == pytest.approx(3.0, rel=1e-2)
+    assert np.isnan(jac(res.x)).all()
+
+
+def test_least_squares_stops_on_a_nonfinite_trial_cost():
+    # the Jacobian doubles the slope, so each step goes half way; the
+    # residual is infinite from x = 2 on, where the second step lands
+    def fun(x):
+        return np.array([x[0] - 3.0 if x[0] < 2.0 else np.inf])
+
+    res = _solve_free(fun, [0.0], lambda x: np.array([[2.0]]))
+    _assert_stopped_at(res, fun)
+    assert res.nfev == 3
+    assert res.x[0] == pytest.approx(1.5, rel=1e-2)
+
+
+def test_least_squares_stops_on_a_nonfinite_step():
+    # J^T J overflows, so the scaled system and the step are NaN
+    def fun(x):
+        return np.array([x[0] + x[1] - 3.0])
+
+    res = _solve_free(fun, [0.0, 0.0], lambda x: np.array([[1e200, 1.0]]))
+    _assert_stopped_at(res, fun)
+    assert res.nfev == 1
+    assert res.x.tolist() == [0.0, 0.0]
+
+
+def test_least_squares_stops_on_a_singular_step_system(monkeypatch):
+    # identical Jacobian columns, steeper than the residual: every step is
+    # a good one, so the damping falls below rounding relative to the unit
+    # diagonal and the step system becomes exactly singular
+    refused = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            refused.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+
+    def fun(x):
+        return np.array([0.8 * (x[0] + x[1])])
+
+    x0 = [5e9, 5e9]
+    res = _solve_free(fun, x0, lambda x: np.array([[1.0, 1.0]]))
+    assert len(refused) == 1
+    _assert_stopped_at(res, fun)
+    assert res.nfev < 500
+    assert res.cost < 1e-30 * 0.5 * float(fun(x0) @ fun(x0))
