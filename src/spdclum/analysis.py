@@ -4,6 +4,10 @@ The signal-to-noise ratio used throughout is the plain count quotient
 SNR = C_S / C_L of the SPDC and luminescence regions.  Detector efficiency
 multiplies both regions equally and cancels; a luminescence region with zero
 counts yields an infinite sentinel plus a flag instead of a division error.
+
+Both image axes increase, so the bins of a band, window or region are one
+contiguous slice: every sum here reads a view of the counts and copies no
+block of the image.  Integer sums are exact in any order.
 """
 
 from __future__ import annotations
@@ -17,8 +21,16 @@ from .emission import EmissionModel
 from .streak import RegionOfInterest, StreakImage, pulse_arrival_ns
 
 
-def _select(axis: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return (axis >= lo) & (axis <= hi)
+def _span(axis: np.ndarray, lo: float, hi: float) -> slice:
+    """The bins whose centers lie in [lo, hi], as a slice: an image axis
+    increases, so they are contiguous and the image's block is a view."""
+    inside = np.flatnonzero((axis >= lo) & (axis <= hi))
+    return (slice(int(inside[0]), int(inside[-1]) + 1) if inside.size
+            else slice(0, 0))
+
+
+def _width(span: slice) -> int:
+    return span.stop - span.start
 
 
 def roi_integrate(image: StreakImage, roi: RegionOfInterest, *,
@@ -35,11 +47,10 @@ def roi_integrate(image: StreakImage, roi: RegionOfInterest, *,
             raise ValueError(
                 f"ROI {roi.label!r} extends beyond the image axes "
                 f"(wavelength {wl[0]:g}..{wl[-1]:g} nm, time {t[0]:g}..{t[-1]:g} ns)")
-    wmask = _select(wl, wlo, whi)
-    tmask = _select(t, tlo, thi)
-    if not wmask.any() or not tmask.any():
+    wspan, tspan = _span(wl, wlo, whi), _span(t, tlo, thi)
+    if not _width(wspan) or not _width(tspan):
         raise ValueError(f"ROI {roi.label!r} selects no bins")
-    return int(image.counts[np.ix_(tmask, wmask)].sum())
+    return int(image.counts[tspan, wspan].sum())
 
 
 def default_rois(model: EmissionModel, image: StreakImage, *,
@@ -113,14 +124,14 @@ def separate_counts(image: StreakImage, spdc_roi: RegionOfInterest,
     floor = 0.0
     if overlap_mode == "model-subtract":
         wl, t = image.wavelength_axis_nm, image.time_axis_ns
-        wmask = _select(wl, *spdc_roi.wavelength_nm)
-        tmask_side = _select(t, *lum_roi.time_ns)
-        tmask_spdc = _select(t, *spdc_roi.time_ns)
-        side = image.counts[np.ix_(tmask_side, wmask)]
+        wspan = _span(wl, *spdc_roi.wavelength_nm)
+        side = image.counts[_span(t, *lum_roi.time_ns), wspan]
         if side.size == 0:
             raise ValueError("no sideband bins available to estimate the "
                              "luminescence floor")
-        floor = float(side.mean()) * int(tmask_spdc.sum()) * int(wmask.sum())
+        # side.mean() in float64, from the exact integer sum
+        floor = (float(side.sum()) / side.size
+                 * _width(_span(t, *spdc_roi.time_ns)) * _width(wspan))
         c_s = max(c_s - floor, 0.0)
     if c_l == 0.0:
         if c_s == 0.0:
@@ -146,10 +157,10 @@ def extract_time_trace(image: StreakImage, wavelength_band: tuple[float, float]
     lo, hi = wavelength_band
     if hi < lo:
         raise ValueError(f"inverted wavelength band ({lo}, {hi})")
-    mask = _select(image.wavelength_axis_nm, lo, hi)
-    if not mask.any():
+    span = _span(image.wavelength_axis_nm, lo, hi)
+    if not _width(span):
         raise ValueError("wavelength band selects no bins")
-    return image.time_axis_ns.copy(), image.counts[:, mask].sum(axis=1)
+    return image.time_axis_ns.copy(), image.counts[:, span].sum(axis=1)
 
 
 def extract_spectrum(image: StreakImage, time_window: tuple[float, float]
@@ -158,10 +169,10 @@ def extract_spectrum(image: StreakImage, time_window: tuple[float, float]
     lo, hi = time_window
     if hi < lo:
         raise ValueError(f"inverted time window ({lo}, {hi})")
-    mask = _select(image.time_axis_ns, lo, hi)
-    if not mask.any():
+    span = _span(image.time_axis_ns, lo, hi)
+    if not _width(span):
         raise ValueError("time window selects no bins")
-    return image.wavelength_axis_nm.copy(), image.counts[mask, :].sum(axis=0)
+    return image.wavelength_axis_nm.copy(), image.counts[span].sum(axis=0)
 
 
 def normalize_spectrum(values) -> np.ndarray:

@@ -389,8 +389,9 @@ def resolve_config(path: str | None = None, *,
     merged.update(overrides or {})
 
     # every key is a registry key or a numbered group's member, whose index
-    # is read as an integer
+    # is read as an integer; two spellings of one index name one key
     raw: dict[str, str] = {}
+    spelled: dict[str, str] = {}
     indices: dict[str, set[int]] = {"filter": set(), "scenario": set()}
     for key, text in merged.items():
         m = _GROUP_RE.match(key)
@@ -398,7 +399,11 @@ def resolve_config(path: str | None = None, *,
             if int(m[2]) < 1:
                 raise ConfigError(f"{key}: group indices start at 1")
             indices[m[1]].add(int(m[2]))
-            key = f"{m[1]}.{int(m[2])}.{m[3]}"
+            canonical = f"{m[1]}.{int(m[2])}.{m[3]}"
+            if canonical in spelled:
+                raise ConfigError(f"duplicate key {canonical}: given as "
+                                  f"{spelled[canonical]} and {key}")
+            spelled[canonical], key = key, canonical
         elif key not in REGISTRY:
             raise ConfigError(f"unknown key: {key}")
         raw[key] = text

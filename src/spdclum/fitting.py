@@ -40,6 +40,7 @@ from . import kernels
 
 _BOUND_REL = 1e-3        # lifetime this close to its bound flags the fit
 _DEGENERATE_RATIO = 1.5  # adjacent lifetimes closer than this are degenerate
+_RSS_TIE_ULPS = 4        # nnls_supports: rss this many ulps of b.b apart tie
 
 # least_squares stopping tolerances on the relative cost decrease, the scaled
 # step and the scaled gradient
@@ -127,7 +128,11 @@ def nnls_supports(a, b, supports) -> np.ndarray:
     feasible = np.all(((z > 0.0) | ~keep) & np.isfinite(z), -1)
     # b_sq - z.rhs is the squared residual of a least-squares solution
     rss = np.where(feasible, b_sq - np.sum(z * rhs, -1), np.inf)
-    rows, j = np.arange(len(supports)), np.argmin(rss, axis=1)
+    # subsets whose rss differ by rounding alone tie; the first in keep
+    # order wins, so the BLAS kernel's last bits cannot pick the support
+    tied = rss <= (rss.min(axis=1, keepdims=True)
+                   + _RSS_TIE_ULPS * np.spacing(b_sq))
+    rows, j = np.arange(len(supports)), np.argmax(tied, axis=1)
     return np.where((rss[rows, j] < b_sq)[:, None],
                     z[rows, j] / norm[supports], 0.0)
 

@@ -21,6 +21,10 @@ count block in one NumPy call when every count is plain ASCII digits, as the
 writer produces them; any other block, or one that call rejects, goes through
 the per-line parser, which accepts what int() accepts and names the offending
 line in its error.
+
+Memory stays bounded by the image: the writers format and write a block of
+rows at a time, and the reader holds the file's lines once besides the
+counts, handing the count rows to NumPy one at a time.
 """
 
 from __future__ import annotations
@@ -160,18 +164,33 @@ def _metadata_lines(metadata, reserved: tuple[str, ...] = ()) -> list[str]:
     return [f"# {key} = {metadata[key]}" for key in sorted(metadata)]
 
 
+# fields formatted per write: a block's Python numbers and text take under
+# a megabyte, whatever the image size, and the per-block cost stays small
+_BLOCK_FIELDS = 1 << 14
+
+
+def _write_rows(path, head: list[str], row_format: str, times, table) -> None:
+    """Write the head lines, then ``row_format % (time, *row)`` for each
+    time and row of the 2-d table, a block of rows at a time, so that
+    neither the table's Python values nor its whole text are ever held."""
+    step = max(1, _BLOCK_FIELDS // table.shape[1])
+    times = times.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{line}\n" for line in head))
+        for i in range(0, len(times), step):
+            fh.write("".join([row_format % (t, *row) for t, row in zip(
+                times[i:i + step], table[i:i + step].tolist())]))
+
+
 def write_streak_csv(image: StreakImage, path) -> None:
     """Serialize an image; byte-identical output for identical images.
     Metadata that would not read back unchanged is refused."""
-    lines = ["# streak-image/v1", f"# exposure = {image.exposure}",
-             *_metadata_lines(image.metadata, reserved=("exposure",))]
-    lines.append(",".join(_format_float(x) for x in image.wavelength_axis_nm))
+    head = ["# streak-image/v1", f"# exposure = {image.exposure}",
+            *_metadata_lines(image.metadata, reserved=("exposure",)),
+            ",".join(_format_float(x) for x in image.wavelength_axis_nm)]
     # %r of a Python float is _format_float, %d of a Python int is str()
-    row = "%r," + ",".join(["%d"] * image.counts.shape[1])
-    lines.extend(row % (t, *c) for t, c in zip(image.time_axis_ns.tolist(),
-                                                image.counts.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    row = "%r," + ",".join(["%d"] * image.counts.shape[1]) + "\n"
+    _write_rows(path, head, row, image.time_axis_ns, image.counts)
 
 
 def write_trace_csv(path, time_ns, values, metadata=None,
@@ -195,12 +214,9 @@ def write_trace_csv(path, time_ns, values, metadata=None,
         raise ValueError("trace times and values must be finite")
     if not np.all(time_ns[1:] > time_ns[:-1]):
         raise ValueError("time axis must be strictly increasing")
-    lines = ["# decay-trace/v1", *_metadata_lines(metadata or {})]
-    lines.append(f"time_ns,{value_column}")
-    for t, v in zip(time_ns, values):
-        lines.append(f"{_format_float(t)},{_format_float(v)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = ["# decay-trace/v1", *_metadata_lines(metadata or {}),
+            f"time_ns,{value_column}"]
+    _write_rows(path, head, "%r,%r\n", time_ns, values[:, None])
 
 
 def _data_lines(path, metadata: dict[str, str]):
@@ -267,31 +283,31 @@ def read_trace_csv(path):
     return np.array(times), np.array(values), metadata
 
 
-# every character of a count block as write_streak_csv writes it
-_PLAIN_COUNT_BYTES = b"0123456789,\n"
+# every character of a count tail as write_streak_csv writes it
+_PLAIN_COUNT_BYTES = b"0123456789,"
 
 
 def _parse_count_block(rows, n_wavelengths: int):
     """(times, counts) of the data rows in one np.loadtxt call, or None.
 
-    Only a block of ASCII-digit counts is taken: np.loadtxt's int64 parse
-    agrees with int() on those, while on other text (NumPy 2.4) it reads
-    non-ASCII characters as digits and can crash.  None sends the rows to
-    _parse_rows, which is then the one judge of the format.
+    Only rows whose counts are ASCII digits and commas, as write_streak_csv
+    writes them, are taken: np.loadtxt's int64 parse agrees with int() on
+    those, while on other text (NumPy 2.4) it reads non-ASCII characters as
+    digits and can crash.  The tails are checked, then cut from the lines
+    again as np.loadtxt draws them, so no copy of the whole block is built.
+    None sends the rows to _parse_rows, which is then the one judge of the
+    format.
     """
-    heads, tails = [], []
+    heads = []
     for _, line in rows:
         head, _, tail = line.partition(",")
-        if not tail:  # np.loadtxt would skip the empty line
+        if not tail or not tail.isascii() or tail.encode().translate(
+                None, _PLAIN_COUNT_BYTES):  # loadtxt would skip empty lines
             return None
         heads.append(head)
-        tails.append(tail)
-    block = "\n".join(tails)
-    if not block.isascii() or block.encode("ascii").translate(
-            None, _PLAIN_COUNT_BYTES):
-        return None
     try:
-        counts = np.loadtxt(tails, delimiter=",", dtype=np.int64, ndmin=2,
+        counts = np.loadtxt((line.partition(",")[2] for _, line in rows),
+                            delimiter=",", dtype=np.int64, ndmin=2,
                             comments=None)
         times = [float(h) for h in heads]
     except ValueError:

@@ -174,6 +174,44 @@ def test_extract_spectrum_matches_roi_sums():
     assert counts.sum() == roi_integrate(img, roi)
 
 
+def test_band_and_roi_sums_copy_no_block():
+    # each sum reads a view of the image; the reference sums copy the
+    # block through boolean masks
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 1000, size=(400, 1000))
+    img = StreakImage(counts, 300.0 + 0.5 * np.arange(1000),
+                      0.01 * np.arange(400), exposure=1)
+    wl, t = img.wavelength_axis_nm, img.time_axis_ns
+    wmask, tmask = (wl >= 310.0) & (wl <= 790.0), (t >= 0.5) & (t <= 3.5)
+    side_t = (t >= 3.6) & (t <= 3.99)
+    spdc = RegionOfInterest((310.0, 790.0), (0.5, 3.5))
+    lum = RegionOfInterest((300.0, 799.5), (3.6, 3.99))
+    cases = [
+        (lambda: extract_time_trace(img, (310.0, 790.0))[1],
+         counts[:, wmask].sum(axis=1)),
+        (lambda: extract_spectrum(img, (0.5, 3.5))[1],
+         counts[tmask, :].sum(axis=0)),
+        (lambda: roi_integrate(img, spdc),
+         counts[np.ix_(tmask, wmask)].sum()),
+        (lambda: separate_counts(img, spdc, lum,
+                                 overlap_mode="model-subtract").lum_under_spdc,
+         float(counts[np.ix_(side_t, wmask)].mean())
+         * int(tmask.sum()) * int(wmask.sum())),
+    ]
+    for call, reference in cases:
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(result, reference)
+        # a copy of a selected block (2.3-3.1 MB) would not fit
+        assert peak < counts.nbytes / 20, peak
+
+
 def test_normalize_spectrum_idempotent():
     _, img = _image()
     _, counts = extract_spectrum(img, (0.5, 8.0))

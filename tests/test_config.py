@@ -145,6 +145,25 @@ def test_filter_group_errors():
         resolve_config(overrides={"filter.1.kind": "prism"}, environ={})
 
 
+def test_index_spellings_of_one_key_are_duplicates(tmp_path):
+    # a lone padded index still names its group
+    cfg = resolve_config(overrides={"filter.01.kind": "longpass",
+                                    "filter.1.cutoff_nm": "460"}, environ={})
+    assert cfg.get("filter.1.cutoff_nm") == 460.0
+    with pytest.raises(ConfigError) as err:
+        resolve_config(overrides={
+            "filter.1.kind": "longpass", "filter.01.cutoff_nm": "460",
+            "filter.001.cutoff_nm": "470"}, environ={})
+    assert str(err.value) == ("duplicate key filter.1.cutoff_nm: given as "
+                              "filter.01.cutoff_nm and filter.001.cutoff_nm")
+    # across layers too: a file spelling is not overridden by another one
+    p = tmp_path / "run.cfg"
+    p.write_text("scenario.1.label = file\n")
+    with pytest.raises(ConfigError, match="scenario.1.label.*scenario.01"):
+        resolve_config(str(p), overrides={"scenario.01.label": "flag"},
+                       environ={})
+
+
 def test_scenario_groups_and_baselines():
     cfg = resolve_config(overrides={
         "scenario.1.reference_snr": "1.657",

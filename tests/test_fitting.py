@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,6 +395,28 @@ def test_nnls_degenerate_problems(case):
     if case == "negative-target":
         assert np.all(x == 0.0)
         assert rnorm == pytest.approx(np.linalg.norm(b), rel=1e-14)
+
+
+@pytest.mark.parametrize("kernel", ["Prescott", "Sandybridge", "Haswell"])
+def test_nnls_degenerate_problems_on_blas_kernels(kernel):
+    """The degenerate cases above under one OpenBLAS kernel.
+
+    OpenBLAS reads OPENBLAS_CORETYPE when it loads, so each kernel gets its
+    own interpreter.  Where NumPy's BLAS is not DYNAMIC_ARCH OpenBLAS the
+    variable is ignored and every run repeats the default kernel: the test
+    is then vacuous.
+    """
+    here = Path(__file__).resolve().parent
+    code = ("import test_fitting as t\n"
+            "for case in ('zero-column', 'duplicate-columns', "
+            "'negative-target'):\n"
+            "    t.test_nnls_degenerate_problems(case)\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], cwd=here,
+        env=dict(os.environ, OPENBLAS_CORETYPE=kernel,
+                 PYTHONPATH=str(here.parent / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 def test_nnls_matches_scipy_on_seed_problems(monkeypatch):

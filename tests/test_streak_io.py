@@ -47,6 +47,45 @@ def test_counts_copied_at_most_once():
     assert peak < 1.5 * floats.nbytes
 
 
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _large_image():
+    # counts above 256 are not Python's cached small ints
+    counts = np.random.default_rng(5).integers(0, 1000, size=(400, 1000))
+    return StreakImage(counts, 300.0 + 0.5 * np.arange(1000.0),
+                       0.01 * np.arange(400.0), exposure=3)
+
+
+def test_writer_holds_no_copy_of_the_image(tmp_path):
+    img = _large_image()
+    path = tmp_path / "big.csv"
+    _, peak = _traced_peak(lambda: write_streak_csv(img, path))
+    # the whole image's tolist() and joined text would take 4.5 x nbytes
+    assert peak < img.counts.nbytes / 4, peak
+    assert np.array_equal(read_streak_csv(path).counts, img.counts)
+
+
+def test_reader_holds_the_image_and_one_copy_of_its_text(tmp_path):
+    img = _large_image()
+    path = tmp_path / "big.csv"
+    write_streak_csv(img, path)
+    back, peak = _traced_peak(lambda: read_streak_csv(path))
+    assert np.array_equal(back.counts, img.counts)
+    # the counts, which np.loadtxt grows as it reads, and the lines; the
+    # tails, their joined block and its ASCII copy as well would take
+    # nbytes + 3.5 x the text
+    assert peak < 1.25 * img.counts.nbytes + 1.1 * path.stat().st_size, peak
+
+
 def test_write_deterministic_bytes(tmp_path):
     img = _image()
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
