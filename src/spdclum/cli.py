@@ -31,7 +31,7 @@ from . import analysis, herald
 from .config import REGISTRY, ConfigError, RunConfig, resolve_config
 from .emission import WavelengthGrid
 from .filters import repetition_rate_alert, run_scenarios
-from .fitting import fit_multiexp
+from .fitting import ShortTraceError, fit_multiexp
 from .streak import (RegionOfInterest, StreakParseError, pulse_arrival_ns,
                      read_streak_csv, read_trace_csv, write_streak_csv,
                      write_trace_csv)
@@ -213,11 +213,15 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> Result:
     if t0 is None:
         # the pulse arrival the input file records, as the default ROIs take
         t0 = pulse_arrival_ns(metadata)
-    fit = fit_multiexp(
-        times, counts, cfg.get("fit.n_components"),
-        irf_fwhm_ns=cfg.get("fit.irf_fwhm_ns"),
-        baseline_mode=cfg.get("fit.baseline_mode"),
-        t0_ns=t0, fit_t0=cfg.get("fit.fit_t0"))
+    try:
+        fit = fit_multiexp(
+            times, counts, cfg.get("fit.n_components"),
+            irf_fwhm_ns=cfg.get("fit.irf_fwhm_ns"),
+            baseline_mode=cfg.get("fit.baseline_mode"),
+            t0_ns=t0, fit_t0=cfg.get("fit.fit_t0"))
+    except ShortTraceError as exc:
+        # too few bins for the fit's parameters: an input error
+        raise StreakParseError(str(exc)) from None
 
     header = ["term", "value", "value_rel_sigma", "lifetime_ns",
               "lifetime_rel_sigma"]

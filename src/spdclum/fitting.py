@@ -7,11 +7,21 @@ seeded by nonnegative linear least squares, all from one kernel column per
 lifetime and one Gram matrix; the starts are ranked by that seed's
 objective, also taken from the Gram matrix, and only the best one is
 refined.  Both solvers are NumPy code in this module, and the refinement
-works on p x p matrices (p parameters): J^T J and J^T r once per Jacobian,
-one small solve per trial step.  The model and its Jacobian share one
-kernel evaluation per parameter point.  Uncertainties come from the
-quadratic approximation at the optimum, scaled by the reduced chi-square:
-the pseudo-inverse of J^T J and its null space, from one SVD.
+works on p x p matrices (p parameters): J^T J, J^T r and the scaled system
+once per Jacobian, one small solve per trial step.  The model and its
+Jacobian share one kernel evaluation per parameter point: the bin averages
+of the kernel parts the layout uses are kept for the last point, and the
+Jacobian's columns are written into one array.  Uncertainties come from
+the quadratic approximation at the optimum, scaled by the reduced
+chi-square: the pseudo-inverse of J^T J and its null space, from one SVD.
+
+A fit is small, so its cost is the number of NumPy calls more than their
+length: a one-lifetime fit with an IRF on a 201-bin trace makes five kernel
+evaluations and takes about 1.6 ms on a 2-core host.  The code is written
+for few calls, and every shortcut keeps the operands and the operation
+order of the plain formula, so results are the same bit for bit; in
+particular every matrix product and np.linalg call sees the same operands
+in the same memory layout.
 
 The model per time bin is the bin average of
 
@@ -30,7 +40,9 @@ nanosecond and microsecond windows are analyzed.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -85,6 +97,11 @@ class DecayFit:
         return tuple(c.lifetime_ns for c in self.components)
 
 
+class ShortTraceError(ValueError):
+    """A trace with too few bins for the parameters its fit frees: a fault
+    of the input data rather than of the fit's settings."""
+
+
 class LeastSquaresResult(NamedTuple):
     """Outcome of least_squares.
 
@@ -109,23 +126,20 @@ def nnls_supports(a, b, supports) -> np.ndarray:
     the best all-positive one over the subsets of s, which are solved in one
     batch from the Gram matrix of a with unit-norm columns.
     """
-    norm = np.linalg.norm(a, axis=0)
+    # the column norms as np.linalg.norm(a, axis=0) forms them
+    norm = np.sqrt(np.add.reduce(a * a, axis=0))
     norm[norm == 0.0] = 1.0
     a = a / norm
     gram, proj, b_sq = a.T @ a, a.T @ b, float(b @ b)
-    # each nonempty subset, larger first, with identity rows pinning the rest
-    keep = np.array(list(itertools.product((True, False),
-                                           repeat=supports.shape[1]))[:-1])
+    keep, pair, eye = _subsets(supports.shape[1])
     sup = supports[:, None, :]
-    block = np.where(keep[:, :, None] & keep[:, None, :],
-                     gram[sup[..., :, None], sup[..., None, :]],
-                     np.eye(keep.shape[1]))
+    block = np.where(pair, gram[sup[..., :, None], sup[..., None, :]], eye)
     rhs = np.where(keep, proj[sup], 0.0)
     det = np.linalg.det(block)
-    ok = (det != 0.0) & np.isfinite(det) & np.all(np.isfinite(rhs), -1)
+    ok = (det != 0.0) & np.isfinite(det) & np.isfinite(rhs).all(-1)
     z = np.full(rhs.shape, np.nan)
     z[ok] = np.linalg.solve(block[ok], rhs[ok][..., None])[..., 0]
-    feasible = np.all(((z > 0.0) | ~keep) & np.isfinite(z), -1)
+    feasible = (((z > 0.0) | ~keep) & np.isfinite(z)).all(-1)
     # b_sq - z.rhs is the squared residual of a least-squares solution
     rss = np.where(feasible, b_sq - np.sum(z * rhs, -1), np.inf)
     # subsets whose rss differ by rounding alone tie; the first in keep
@@ -137,6 +151,18 @@ def nnls_supports(a, b, supports) -> np.ndarray:
                     z[rows, j] / norm[supports], 0.0)
 
 
+@functools.cache
+def _subsets(m: int):
+    """Every nonempty subset of m columns, larger first, as a (2^m - 1, m)
+    mask; the mask of each subset's Gram block; and the identity whose rows
+    pin the columns a subset leaves out."""
+    keep = np.array(list(itertools.product((True, False), repeat=m))[:-1])
+    out = keep, keep[:, :, None] & keep[:, None, :], np.eye(m)
+    for a in out:
+        a.flags.writeable = False  # shared by every call
+    return out
+
+
 def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
     """Minimize 0.5 * ||fun(x)||^2 subject to bounds[0] <= x <= bounds[1].
 
@@ -145,20 +171,21 @@ def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
     Marquardt's column scaling D^2 = diag(J^T J) (kept at its running
     maximum), freezes a variable at a bound whose gradient points outward,
     and clips the trial point to the bounds.  J^T J and g = J^T r are formed
-    once per Jacobian; every trial step, rejected ones included, solves the
-    p x p system (J^T J + lambda D^2) s = -g on the free variables, in the
-    scaled variables D s (as MINPACK's lmder works on p x p factors; Moré,
-    LNM 630, 1978), and the predicted decrease is -(g.s + s.J^T J.s / 2).
-    lambda follows the ratio of actual to predicted decrease.  The solve
-    stops on the relative cost decrease (FTOL), the scaled step (XTOL), the
-    scaled gradient (GTOL), or after max_nfev residual evaluations.
+    once per Jacobian, with the free variables' scaled system and right-hand
+    side; every trial step, rejected ones included, solves the p x p system
+    (J^T J + lambda D^2) s = -g on the free variables, in the scaled
+    variables D s (as MINPACK's lmder works on p x p factors; Moré, LNM 630,
+    1978), and the predicted decrease is -(g.s + s.J^T J.s / 2).  lambda
+    follows the ratio of actual to predicted decrease.  The solve stops on
+    the relative cost decrease (FTOL), the scaled step (XTOL), the scaled
+    gradient (GTOL), or after max_nfev residual evaluations.
     """
     lo, hi = (np.asarray(v, dtype=float) for v in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = fun(x)
     nfev = 1
     cost = 0.5 * float(r @ r)
-    if not np.isfinite(cost):
+    if not math.isfinite(cost):
         return LeastSquaresResult(x, cost, 0, nfev)
     damping, growth = 1e-3, 2.0
     d_sq = np.zeros(x.size)
@@ -166,41 +193,50 @@ def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
     while nfev < max_nfev:
         if j_mat is None:
             j_mat = jac(x)
-            if not np.all(np.isfinite(j_mat)):
+            if not np.isfinite(j_mat).all():
                 break
             jtj, g = j_mat.T @ j_mat, j_mat.T @ r
-            d_sq = np.maximum(d_sq, np.diag(jtj))
+            d_sq = np.maximum(d_sq, jtj.diagonal())
             d = np.where(d_sq > 0.0, np.sqrt(d_sq), 1.0)
             free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-            r_norm = np.sqrt(2.0 * cost)
-            if np.all(np.abs(g[free]) <= GTOL * d[free] * r_norm):
+            # with every variable free, the free parts are the whole arrays
+            every = free.all()
+            g_free, d_free, jtj_free = ((g, d, jtj) if every else
+                                        (g[free], d[free], jtj[free][:, free]))
+            if (np.abs(g_free) <= GTOL * d_free * math.sqrt(2.0 * cost)).all():
                 return LeastSquaresResult(x, cost, 1, nfev)
-            # J^T J of the free variables in the scaled variables u = D s
-            d_free = d[free]
-            scaled = jtj[np.ix_(free, free)] / np.outer(d_free, d_free)
+            # J^T J of the free variables in the scaled variables u = D s,
+            # its damping matrix and the right-hand side -g / D
+            scaled = jtj_free / (d_free[:, None] * d_free)
+            eye = np.eye(d_free.size)
+            rhs = -g_free / d_free
         # (J^T J + lambda D^2) s = -g on the free variables
         try:
-            u = np.linalg.solve(scaled + damping * np.eye(d_free.size),
-                                -g[free] / d_free)
+            u = np.linalg.solve(scaled + damping * eye, rhs)
         except np.linalg.LinAlgError:
             break
-        step = np.zeros(x.size)
-        step[free] = u / d_free
-        trial = np.clip(x + step, lo, hi)
+        if every:
+            step = u / d_free
+        else:
+            step = np.zeros(x.size)
+            step[free] = u / d_free
+        trial = (x + step).clip(lo, hi)
         step = trial - x
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
         r_trial = fun(trial)
         nfev += 1
         cost_trial = 0.5 * float(r_trial @ r_trial)
-        if not np.isfinite(cost_trial):
+        if not math.isfinite(cost_trial):
             break
         predicted = -(g @ step + 0.5 * (step @ jtj @ step))
         actual = cost - cost_trial
         ratio = actual / predicted if predicted > 0.0 else -np.inf
         ftol_met = actual < FTOL * cost and ratio > 0.25
-        xtol_met = (np.linalg.norm(d * step)
-                    <= XTOL * (XTOL + np.linalg.norm(d * x)))
+        # the 2-norms as np.linalg.norm forms them, sqrt(v.v)
+        d_step, d_x = d * step, d * x
+        xtol_met = (np.sqrt(d_step.dot(d_step))
+                    <= XTOL * (XTOL + np.sqrt(d_x.dot(d_x))))
         if ratio > 1e-4:
             x, r, cost = trial, r_trial, cost_trial
             j_mat = None
@@ -229,16 +265,18 @@ class DecayDesign:
         self.y = np.asarray(y, dtype=float)
         if self.t.ndim != 1 or self.t.shape != self.y.shape:
             raise ValueError("time and counts must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.y))):
+        if not (np.isfinite(self.t).all() and np.isfinite(self.y).all()):
             raise ValueError("time and counts must be finite")
-        if np.any(np.diff(self.t) <= 0):
+        if not (np.diff(self.t) > 0).all():
             raise ValueError("time axis must be strictly increasing")
         if not 1 <= n_components <= 3:
             raise ValueError("n_components must be 1, 2, or 3")
         if baseline_mode not in ("free", "zero"):
             raise ValueError("baseline_mode must be 'free' or 'zero'")
-        if irf_fwhm_ns is not None and irf_fwhm_ns < 0:
-            raise ValueError("IRF FWHM must be nonnegative")
+        if not math.isfinite(t0_ns):
+            raise ValueError("pulse arrival t0 must be finite")
+        if irf_fwhm_ns is not None and not 0.0 <= irf_fwhm_ns < math.inf:
+            raise ValueError("IRF FWHM must be nonnegative and finite")
         if fit_t0 is None:
             fit_t0 = bool(irf_fwhm_ns)
         if fit_t0 and not irf_fwhm_ns:
@@ -260,8 +298,14 @@ class DecayDesign:
                                  *[True] * (2 * n), self.fit_irf])
         self._amps, self._taus = slice(2, 2 + n), slice(2 + n, 2 + 2 * n)
         self.n_params = int(self._fitted.sum())
+        # theta's amplitudes start after its baseline and t0, if fitted
+        self._first_amp = int(self._fitted[0]) + int(self._fitted[1])
+        # the kernel parts this layout uses, of exp_conv_gauss_cdf_grad's
+        # (F, dF/dt, dF/dtau, dF/dsigma): F and dF/dtau, then dF/dt when t0
+        # is fitted and dF/dsigma when the IRF width is
+        self._parts = [0, 2] + [1] * self.fit_t0 + [3] * self.fit_irf
         if self.t.size < max(3 * self.n_params, 8):
-            raise ValueError(
+            raise ShortTraceError(
                 f"trace too short: {self.t.size} bins for {self.n_params} "
                 "parameters")
         self.dt = kernels.median_step(self.t)  # median bin width
@@ -286,20 +330,23 @@ class DecayDesign:
         return (v[..., 1:] - v[..., :-1]) / self.widths
 
     def _kernel(self, t0, taus, fwhm):
-        """exp_conv_gauss_cdf_grad at the edges, kept for the last exact
-        (t0, taus, sigma): residuals and jacobian at one point share it."""
-        sigma = fwhm * kernels.FWHM_TO_SIGMA
-        key = np.concatenate(([t0, sigma], taus)).tobytes()
+        """Bin averages of the kernel parts the layout uses (see _parts) at
+        the edges, a (n_parts, n_components, n_bins) array, kept for the
+        last exact (t0, taus, fwhm): residuals and jacobian at one point
+        share one exp_conv_gauss_cdf_grad call."""
+        key = t0.tobytes() + fwhm.tobytes() + taus.tobytes()
         if self._memo[0] != key:
-            self._memo = key, kernels.exp_conv_gauss_cdf_grad(
-                self.edges - t0, taus, sigma)
+            parts = kernels.exp_conv_gauss_cdf_grad(
+                self.edges - t0, taus, fwhm * kernels.FWHM_TO_SIGMA)
+            self._memo = key, self._avg(np.array([parts[i]
+                                                  for i in self._parts]))
         return self._memo[1]
 
     def model(self, theta):
         baseline, t0, amps, taus, fwhm = self._split(theta)
-        out = np.full_like(self.t, baseline)
+        out = baseline
         for a, f in zip(amps, self._kernel(t0, taus, fwhm)[0]):
-            out = out + a * self._avg(f)
+            out = out + a * f
         return out
 
     def residuals(self, theta):
@@ -307,24 +354,30 @@ class DecayDesign:
 
     def jacobian(self, theta):
         baseline, t0, amps, taus, fwhm = self._split(theta)
-        # F and its partials in t, tau and sigma, a row per component;
-        # d/dt0 of F(t - t0) is -dF/dt
-        f, d_t, d_tau, d_sigma = self._kernel(t0, taus, fwhm)
-        # only the fitted columns, in the parameter vector's order
-        cols = [np.ones_like(self.t)] if self._fitted[0] else []
+        # bin-averaged F and its partials in tau, then t and sigma where
+        # fitted, a row per component; d/dt0 of F(t - t0) is -dF/dt
+        f, d_tau, *d_t_sigma = self._kernel(t0, taus, fwhm)
+        # only the fitted columns, in the parameter vector's order, each
+        # written into its column of one (n_bins, n_params) array
+        jac = np.empty((self.t.size, self.n_params))
+        cols, k = jac.T, self._first_amp
+        if self._fitted[0]:
+            cols[0] = 1.0
         if self._fitted[1]:
-            dt_col = np.zeros_like(self.t)
-            for a, d in zip(amps, d_t):
-                dt_col -= a * self._avg(d)
-            cols.append(dt_col)
-        cols.extend(self._avg(v) for v in f)
-        cols.extend(a * self._avg(d) for a, d in zip(amps, d_tau))
+            col = cols[k - 1]
+            col[...] = 0.0
+            for a, d in zip(amps, d_t_sigma[0]):
+                col -= a * d
+        cols[k:k + self.n] = f
+        np.multiply(amps[:, None], d_tau, out=cols[k + self.n:k + 2 * self.n])
         if self._fitted[-1]:
-            dw_col = np.zeros_like(self.t)
-            for a, d in zip(amps, d_sigma):
-                dw_col += a * self._avg(d)
-            cols.append(dw_col * kernels.FWHM_TO_SIGMA)
-        return np.column_stack(cols) * self.w[:, None]
+            col = cols[-1]
+            col[...] = 0.0
+            for a, d in zip(amps, d_t_sigma[-1]):
+                col += a * d
+            col *= kernels.FWHM_TO_SIGMA
+        jac *= self.w[:, None]
+        return jac
 
     def objective(self, theta) -> float:
         r = self.residuals(theta)
@@ -348,9 +401,9 @@ class DecayDesign:
         """Deterministic log-spaced lifetime combinations over the span."""
         span = self.t[-1] - self.t[0]
         grid_sizes = {1: 10, 2: 7, 3: 6}
-        g = np.geomspace(max(2.0 * self.dt, 1e-9), 0.7 * span,
-                        grid_sizes[self.n])
-        return [tuple(c) for c in itertools.combinations(g, self.n)]
+        g = _geomspace(max(2.0 * self.dt, 1e-9), 0.7 * span,
+                       grid_sizes[self.n])
+        return list(itertools.combinations(g.tolist(), self.n))
 
     def best_start(self, starts) -> np.ndarray:
         """The seeded parameters of the lifetime start whose seed fits best."""
@@ -366,33 +419,50 @@ class DecayDesign:
         weighted Gram matrix and projections of each start's columns, not
         from a residual vector per start.
         """
-        taus, support = np.unique(np.asarray(starts, dtype=float),
-                                  return_inverse=True)
-        k = len(starts)
-        support = support.reshape(k, self.n)
-        cols = self._avg(kernels.exp_conv_gauss_cdf(
+        starts = np.asarray(starts, dtype=float)
+        k, n = len(starts), self.n
+        # the distinct lifetimes, sorted, and each start's columns among them
+        taus = np.sort(starts, axis=None)
+        taus = taus[np.concatenate(([True], taus[1:] != taus[:-1]))]
+        free = int(self._fitted[0])  # baseline column last
+        support = np.full((k, n + free), taus.size)
+        support[:, :n] = np.searchsorted(taus, starts)
+        a_mat = np.empty((taus.size + free, self.t.size))
+        a_mat[:taus.size] = self._avg(kernels.exp_conv_gauss_cdf(
             self.edges - self.t0_fixed, taus,
             self._fixed[-1] * kernels.FWHM_TO_SIGMA))
-        free = int(self._fitted[0])  # baseline column last
-        a_mat = np.vstack([cols, np.ones((free, self.t.size))]).T
-        support = np.hstack([support, np.full((k, free), taus.size)])
-        a_w, b_w = a_mat * self.w[:, None], self.y * self.w
+        a_mat[taus.size:] = 1.0
+        a_w, b_w = a_mat.T * self.w[:, None], self.y * self.w
         coef = nnls_supports(a_w, b_w, support)
         floor = max(self.y.max(initial=0.0), 1.0) * 1e-6
-        amps, base = (np.maximum(coef[:, :self.n], floor),
-                      np.maximum(coef[:, self.n:], 0.0))
+        c = np.maximum(coef, [floor] * n + [0.0] * free)
         # 0.5 * ||A c - b||^2 = 0.5 * (c.G.c - 2 c.p + b.b) on each support
-        c = np.hstack([amps, base])
         gram, proj = a_w.T @ a_w, a_w.T @ b_w
         quad = np.einsum("si,sij,sj->s", c,
                          gram[support[:, :, None], support[:, None, :]], c)
         objectives = 0.5 * (quad - 2.0 * np.sum(c * proj[support], axis=1)
                             + b_w @ b_w)
-        full = np.tile(self._fixed, (k, 1))
-        full[:, :free] = base
-        full[:, self._amps] = amps
-        full[:, self._taus] = taus[support[:, :self.n]]
+        full = np.empty((k, self._fixed.size))
+        full[:] = self._fixed
+        full[:, :free] = c[:, n:]
+        full[:, self._amps] = c[:, :n]
+        full[:, self._taus] = taus[support[:, :n]]
         return full[:, self._fitted], objectives
+
+
+def _geomspace(lo, hi, num):
+    """np.geomspace(lo, hi, num) for positive lo and hi and num >= 2, in
+    its operation order without its overhead: num points evenly spaced in
+    log10 (as np.linspace forms them), raised as powers of 10, with the ends
+    set to lo and hi exactly."""
+    start, stop = np.log10(lo), np.log10(hi)
+    y = np.arange(num, dtype=float)
+    y *= (stop - start) / (num - 1)
+    y += start
+    y[-1] = stop
+    out = np.power(10.0, y)
+    out[0], out[-1] = lo, hi
+    return out
 
 
 def fit_multiexp(time_ns, counts, n_components: int,
@@ -421,6 +491,14 @@ def fit_multiexp(time_ns, counts, n_components: int,
         Lifetime-sorted components with relative uncertainties, reduced
         chi-square, residual trace, and diagnostic flags.  Non-convergence is
         reported through converged=False, never raised.
+
+    Raises
+    ------
+    ShortTraceError
+        The trace has fewer bins than max(3 * parameters, 8).
+    ValueError
+        Any other invalid setting, such as a non-finite t0_ns or
+        irf_fwhm_ns (ShortTraceError is a ValueError too).
     """
     design = DecayDesign(time_ns, counts, n_components, irf_fwhm_ns,
                          baseline_mode, t0_ns, fit_t0, fit_irf)
@@ -447,23 +525,23 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
     flags: list[str] = []
     if not converged_ok:
         flags.append("not-converged")
-    if not np.any(design.y > 0.0):
+    if not (design.y > 0.0).any():
         flags.append("no-counts")
 
     jac = design.jacobian(res.x)
     jtj = jac.T @ jac
     dof = max(design.t.size - design.n_params, 1)
     chi2_red = 2.0 * res.cost / dof
-    if np.isfinite(chi2_red) and np.all(np.isfinite(jtj)):
+    if math.isfinite(chi2_red) and np.isfinite(jtj).all():
         u, sing, vt = np.linalg.svd(jtj)
         # the diagonal of pinv(jtj) (NumPy's default cutoff) from the same
         # factors: zero variance along the null space
         inv = np.divide(1.0, sing, out=np.zeros_like(sing),
                         where=sing > sing[0] * 1e-15)
         cov_diag = np.einsum("ki,k,ik->i", vt, inv, u) * chi2_red
-        sigmas = np.sqrt(np.clip(cov_diag, 0.0, None))
+        sigmas = np.sqrt(cov_diag.clip(0.0, None))
         null = sing <= sing[0] * 1e-14
-        if np.any(null):
+        if null.any():
             flags.append("ill-conditioned")
             # a parameter with more than rounding weight on a null singular
             # vector is not determined
@@ -482,14 +560,16 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
                 | (taus <= design.tau_lo * (1.0 + _BOUND_REL)))
     tau_sig = np.where(at_bound, np.inf, full_sig[design._taus])
 
+    amps, taus = amps.tolist(), taus.tolist()
+    amp_sig, tau_sig = amp_sig.tolist(), tau_sig.tolist()
     components = tuple(
-        FitComponent(float(amps[k]), float(taus[k]),
+        FitComponent(amps[k], taus[k],
                      _rel(amp_sig[k], amps[k]), _rel(tau_sig[k], taus[k]))
-        for k in order)
+        for k in order.tolist())
     taus_sorted = [c.lifetime_ns for c in components]
     if any(b < _DEGENERATE_RATIO * a for a, b in zip(taus_sorted, taus_sorted[1:])):
         flags.append("ill-conditioned")
-    if np.any(at_bound):
+    if at_bound.any():
         flags.append("at-bound")
 
     residual = design.y - design.model(res.x)
@@ -512,10 +592,9 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
 
 
 def _rel(sigma: float, value: float) -> float:
-    # denormal values overflow the quotient; report those as inf too
-    with np.errstate(over="ignore"):
-        out = np.divide(sigma, abs(value)) if value != 0.0 else np.inf
-    return float(out)
+    # a Python float quotient that overflows is inf, as a denormal value's
+    # relative sigma should read, with no floating-point warning to silence
+    return float(sigma) / abs(float(value)) if value != 0.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,15 @@ kernel itself) and the steady-state masses under pulsed excitation, each a
 CDF difference on one edge array.  The Gaussian CDF also gives the
 wavelength masses, through emission.SpectralProfile.cdf.
 erfcx and the Gaussian CDF come from Cody's rational approximations in NumPy.
+
+Lifetimes and the pulse period must be positive and finite, and sigma
+nonnegative and finite; anything else, NaN included, raises ValueError
+instead of returning NaN masses.  A fit evaluates these kernels once per
+parameter point on a few hundred times, where each NumPy call costs more
+than its arithmetic.  So the Horner loops run in place, shared
+subexpressions are computed once, and times wholly past the pulse skip the
+sigma = 0 masking; each keeps the operation order of the formula written
+out, so every value is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -53,13 +62,22 @@ _CODY_BIG = (
      1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
     (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
      6.05183413124413191e-2, 2.33520497626869185e-3))
+_INV_SQRTPI = 1.0 / np.sqrt(np.pi)
 
 
 def _rational(x, num, den):
-    p, q = num[0] * x, x
+    # p = ((num_0 x + num_1) x + ...) x and q = ((x + den_0) x + ...) x, in
+    # place on two fresh arrays; then (p + num_-1) / (q + den_-1)
+    p, q = num[0] * x, x.copy()
     for a, b in zip(num[1:-1], den[:-1]):
-        p, q = (p + a) * x, (q + b) * x
-    return (p + num[-1]) / (q + den[-1])
+        p += a
+        p *= x
+        q += b
+        q *= x
+    p += num[-1]
+    q += den[-1]
+    p /= q
+    return p
 
 
 def erfcx(x):
@@ -70,10 +88,12 @@ def erfcx(x):
     small, big = y <= 0.46875, y > 4.0
     mid = ~(small | big)
     s = x[small]
-    out[small] = np.exp(s * s) * (1.0 - s * _rational(s * s, *_CODY_SMALL))
+    s_sq = s * s
+    out[small] = np.exp(s_sq) * (1.0 - s * _rational(s_sq, *_CODY_SMALL))
     out[mid] = _rational(y[mid], *_CODY_MID)
-    u = 1.0 / y[big] ** 2
-    out[big] = (1.0 / np.sqrt(np.pi) - u * _rational(u, *_CODY_BIG)) / y[big]
+    y_big = y[big]
+    u = 1.0 / y_big ** 2
+    out[big] = (_INV_SQRTPI - u * _rational(u, *_CODY_BIG)) / y_big
     neg = x < -0.46875
     out[neg] = 2.0 * np.exp(x[neg] ** 2) - out[neg]
     return out
@@ -81,8 +101,11 @@ def erfcx(x):
 
 def _prepare(t):
     """Return (flat float array, restore) where restore() rebuilds the
-    caller's shape on the last axis, collapsing a 0-d result to a float."""
+    caller's shape on the last axis, collapsing a 0-d result to a float.
+    A 1-d array is already flat, so its restore returns the result as is."""
     arr = np.asarray(t, dtype=float)
+    if arr.ndim == 1:
+        return arr.ravel(), _unchanged
     shape = arr.shape
 
     def restore(out):
@@ -92,16 +115,36 @@ def _prepare(t):
     return arr.ravel(), restore
 
 
-def _causal_exp(t, tau):
-    """exp(-t/tau) for t >= 0, zero before; overflow-safe for t << 0."""
-    return np.where(t >= 0.0, np.exp(-np.maximum(t, 0.0) / tau), 0.0)
+def _unchanged(out):
+    return out
+
+
+def _bare(t, tau):
+    """(F, kern, dF/dtau) for sigma = 0: kern = exp(-t/tau) from t = 0 on,
+    zero before (overflow-safe for t << 0); F = tau * (1 - kern) and
+    dF/dtau = 1 - kern - (t / tau) * kern above the step, zero up to it.
+    Times all past the step need no masking: there -t/tau is -(t/tau)."""
+    if (t > 0.0).all():
+        ratio = t / tau
+        kern = np.exp(-ratio)
+        rest = 1.0 - kern
+        return tau * rest, kern, rest - ratio * kern
+    kern = np.where(t >= 0.0, np.exp(-np.maximum(t, 0.0) / tau), 0.0)
+    after, rest = t > 0.0, 1.0 - kern
+    return (np.where(after, tau * rest, 0.0), kern,
+            np.where(after, rest - (t / tau) * kern, 0.0))
+
+
+def _check_sigma(sigma):
+    # NaN fails every comparison, so it is refused with inf
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
 
 
 def _check_kernel_args(tau, sigma):
-    if np.any(tau <= 0.0):
-        raise ValueError("lifetime must be positive")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    if not ((tau > 0.0) & (tau < np.inf)).all():
+        raise ValueError("lifetime must be positive and finite")
+    _check_sigma(sigma)
 
 
 def _phi(w, bump, ex):
@@ -119,19 +162,22 @@ def _emg(t, tau, sigma):
     derivative here with sigma > 0 is composed from these three arrays.
     A column of lifetimes gives kern a row each; one erfcx call serves all.
     """
+    t_sigma = t / sigma
     w = t / (sigma * _SQRT2)
-    bump = np.exp(-0.5 * (t / sigma) ** 2)
-    z = (sigma / tau - t / sigma) / _SQRT2
-    kern = np.empty_like(z)
+    bump = np.exp(-0.5 * t_sigma ** 2)
+    z = (sigma / tau - t_sigma) / _SQRT2
     near = z >= _Z_SPLIT
     ex = erfcx(np.concatenate([z[near], np.abs(w)]))
     n_near = ex.size - w.size
-    kern[near] = 0.5 * ex[:n_near] * np.broadcast_to(bump, z.shape)[near]
+    # 0.5 * erfcx(z) * bump where z is near, zero elsewhere until the far
+    # form below replaces it
+    kern = np.zeros_like(z)
+    kern[near] = 0.5 * ex[:n_near]
+    kern *= bump
     far = ~near
-    if np.any(far):
+    if far.any():
         # erfc(z) = 2 - erfc(-z); the correction is below 1e-17 relative here
-        t_far, tau_far = (np.broadcast_to(v, z.shape)[far] for v in (t, tau))
-        kern[far] = np.exp(sigma**2 / (2.0 * tau_far**2) - t_far / tau_far)
+        kern[far] = np.exp((sigma**2 / (2.0 * tau**2) - t / tau)[far])
     return _phi(w, bump, ex[n_near:]), kern, bump
 
 
@@ -141,19 +187,13 @@ def gaussian_cdf(t, sigma: float):
     The delta sits at t = 0 and its mass accrues just above 0, so a bin whose
     left edge is exactly 0 still collects the photon.
     """
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    _check_sigma(sigma)
     t, restore = _prepare(t)
     if sigma == 0.0:
         return restore((t > 0.0).astype(float))
     w = t / (sigma * _SQRT2)
     bump = np.exp(-0.5 * (t / sigma) ** 2)
     return restore(_phi(w, bump, erfcx(np.abs(w))))
-
-
-def _bare_cdf(t, tau, kern):
-    # sigma = 0: tau * (1 - exp(-t/tau)) above the step, zero up to it
-    return np.where(t > 0.0, tau * (1.0 - kern), 0.0)
 
 
 def exp_conv_gauss_cdf(t, tau, sigma: float):
@@ -163,12 +203,14 @@ def exp_conv_gauss_cdf(t, tau, sigma: float):
     Equals tau * (gaussian_cdf(t) - kernel(t)); tends to tau as t -> +inf.
     sigma = 0 integrates the bare exponential.  A 1-d array of lifetimes
     gives one row per lifetime, each equal to its single-lifetime call.
+    Raises ValueError for a lifetime that is not positive and finite, or a
+    sigma that is negative or not finite.
     """
     col = np.asarray(tau, dtype=float)[..., None]
     _check_kernel_args(col, sigma)
     t, restore = _prepare(t)
     if sigma == 0.0:
-        return restore(_bare_cdf(t, col, _causal_exp(t, col)))
+        return restore(_bare(t, col)[0])
     phi, kern, _ = _emg(t, col, sigma)
     return restore(col * (phi - kern))
 
@@ -179,27 +221,30 @@ def exp_conv_gauss_cdf_grad(t, tau, sigma: float):
 
     Returns (F, dF/dt, dF/dtau, dF/dsigma); dF/dt is the kernel itself.  F
     depends on sigma only through sigma^2, so dF/dsigma is zero at sigma = 0.
-    A 1-d array of lifetimes gives one row per lifetime in each part.
+    A 1-d array of lifetimes gives one row per lifetime in each part.  Each
+    shared subexpression is computed once, in the operation order of the
+    formulas written out below, so every part is bit for bit the same.
     """
     tau = np.asarray(tau, dtype=float)[..., None]
     _check_kernel_args(tau, sigma)
     t, restore = _prepare(t)
     if sigma == 0.0:
-        kern = _causal_exp(t, tau)
-        d_tau = np.where(t > 0.0, 1.0 - kern - (t / tau) * kern, 0.0)
-        parts = (_bare_cdf(t, tau, kern), kern, d_tau, np.zeros_like(kern))
+        f, kern, d_tau = _bare(t, tau)
+        parts = (f, kern, d_tau, np.zeros_like(kern))
     else:
         phi, kern, bump = _emg(t, tau, sigma)
-        # F = tau * (phi - kern), so dF/dtau = phi - kern - tau * dkern/dtau
-        d_kern_tau = (kern * (t - sigma**2 / tau) / tau**2
-                      + bump / _SQRT2PI * sigma / tau**2)
-        d_kern_sigma = (kern * sigma / tau**2
-                        - bump / _SQRT2PI * (1.0 / tau + t / sigma**2))
-        d_tau = phi - kern - tau * d_kern_tau
-        d_phi = -bump / _SQRT2PI * t / sigma**2
-        d_sigma = tau * (d_phi - d_kern_sigma)
-        parts = (tau * (phi - kern), kern, d_tau, d_sigma)
-    return tuple(restore(p) for p in parts)
+        # dkern/dtau = kern * (t - sigma^2/tau) / tau^2 + g * sigma / tau^2
+        # dkern/dsigma = kern * sigma / tau^2 - g * (1/tau + t / sigma^2)
+        # with g = bump / sqrt(2 pi); F = tau * (phi - kern), so
+        # dF/dtau = phi - kern - tau * dkern/dtau and
+        # dF/dsigma = tau * (dphi/dsigma - dkern/dsigma)
+        g, tau_sq, f = bump / _SQRT2PI, tau**2, phi - kern
+        d_kern_tau = kern * (t - sigma**2 / tau) / tau_sq + g * sigma / tau_sq
+        d_kern_sigma = kern * sigma / tau_sq - g * (1.0 / tau + t / sigma**2)
+        d_phi = -g * t / sigma**2
+        parts = (tau * f, kern, f - tau * d_kern_tau,
+                 tau * (d_phi - d_kern_sigma))
+    return tuple(map(restore, parts))
 
 
 def periodic_decay_mass(edges, tau: float, sigma: float, period: float):
@@ -214,8 +259,8 @@ def periodic_decay_mass(edges, tau: float, sigma: float, period: float):
     single-pulse mass.  Raises ValueError where the pile-up tail overflows,
     which takes an IRF far wider than tau.
     """
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    if not 0.0 < period < np.inf:
+        raise ValueError("period must be positive and finite")
     e = np.asarray(edges, dtype=float)
     if e.size and (e.min() < -period or e.max() > period):
         raise ValueError("times must lie within one period of the pulse")

@@ -201,6 +201,36 @@ def test_fit_bad_pulse_arrival_exits_3(tmp_path, capsys):
     assert "pulse_arrival_ns" in err
 
 
+def test_fit_trace_too_short_exits_3(tmp_path, capsys):
+    # too few bins for the fit's parameters is a fault of the input
+    import numpy as np
+
+    from spdclum.streak import write_trace_csv
+
+    t = np.arange(5) * 0.1
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), t, 100.0 * np.exp(-t))
+    code, text, err = run(capsys, "fit", str(path))
+    assert (code, text, err) == (
+        3, "", "input error: trace too short: 5 bins for 3 parameters\n")
+
+
+def test_fit_t0_without_irf_width_exits_2(tmp_path, capsys):
+    # fitting t0 needs an IRF width: a fault of the settings, not the input
+    import numpy as np
+
+    from spdclum.streak import write_trace_csv
+
+    t = np.arange(50) * 0.1
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), t, 100.0 * np.exp(-t))
+    code, text, err = run(capsys, "fit", str(path), "--irf", "0",
+                          "--set", "fit.fit_t0=true")
+    assert (code, text, err) == (
+        2, "", "configuration error: t0 can only be fitted with a nonzero "
+               "IRF width\n")
+
+
 def test_fit_missing_file_exits_3(capsys):
     code, _, _ = run(capsys, "fit", "/no/such/file.csv")
     assert code == 3

@@ -17,6 +17,7 @@ from spdclum.fitting import (
     DecayDesign,
     DecayFit,
     FitComponent,
+    ShortTraceError,
     decay_independence_report,
     fit_multiexp,
     least_squares,
@@ -224,10 +225,20 @@ def test_design_validation():
         DecayDesign(t, y, 1, irf_fwhm_ns=0.0, fit_t0=True)
     with pytest.raises(ValueError):
         DecayDesign(t, y, 1, irf_fwhm_ns=None, fit_irf=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ShortTraceError, match="trace too short"):
         DecayDesign(t[:4], y[:4], 1)
     with pytest.raises(ValueError):
         DecayDesign(t[::-1], y, 1)
+    # a non-finite pulse arrival or IRF width is refused, not fitted (NaN
+    # times would zero the bare kernel and "converge")
+    tt = np.arange(50) * 0.1
+    yy = 1000.0 * np.exp(-tt) + 5.0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            fit_multiexp(tt, yy, 1, t0_ns=bad)
+        with pytest.raises(ValueError, match="IRF FWHM must be nonnegative "
+                                             "and finite"):
+            fit_multiexp(tt, yy, 1, irf_fwhm_ns=bad)
 
 
 def test_zero_irf_fits_like_no_irf():
@@ -311,6 +322,20 @@ def _criterion_tail_traces():
         img = synthesize(model, None, grid, exposure=400, seed=seed)
         t, y = extract_time_trace(img, (350.0, 510.0))
         yield t[t >= 150.0], y[t >= 150.0]
+
+
+def test_start_grid_is_geomspace_bit_for_bit():
+    # the lifetime grid skips np.geomspace's overhead, not its arithmetic
+    from spdclum.fitting import _geomspace
+
+    rng = np.random.default_rng(20261020)
+    for _ in range(2000):
+        lo = 10.0 ** rng.uniform(-12.0, 6.0)
+        hi = lo * 10.0 ** rng.uniform(-3.0, 8.0)
+        num = int(rng.integers(2, 12))
+        for a, b in ((lo, hi), (lo, lo), (np.float64(lo), np.float64(hi))):
+            assert (_geomspace(a, b, num).tobytes()
+                    == np.geomspace(a, b, num).tobytes()), (a, b, num)
 
 
 def test_gram_ranked_start_matches_residual_ranking():
@@ -631,7 +656,8 @@ def test_lifetime_on_its_bound_reports_inf():
             assert 0.0 < comp.lifetime_rel_sigma < 1.0
 
 
-@pytest.mark.parametrize("case", ["irf", "bare-2c"])
+@pytest.mark.parametrize("case", ["irf", "bare-2c", "fit-irf",
+                                  "zero-baseline", "three-component"])
 def test_one_kernel_evaluation_per_parameter_point(monkeypatch, case):
     # the solver calls residuals then jacobian at each accepted point, and
     # the packaging calls jacobian then model at the optimum: each distinct
@@ -651,16 +677,19 @@ def test_one_kernel_evaluation_per_parameter_point(monkeypatch, case):
         cdf_calls.append(1)
         return real_cdf(*args, **kwargs)
 
-    if case == "irf":
-        t, y = _single_tau_trace()
-        args = (t, y, 1, 0.15)
-    else:
+    if case == "bare-2c":
         t, y = _two_tau_trace()
         tail = t >= 150.0
-        args = (t[tail], y[tail], 2)
+        args, kwargs = (t[tail], y[tail], 2), {}
+    else:
+        t, y = _single_tau_trace()
+        n, kwargs = {"irf": (1, {}), "fit-irf": (2, {"fit_irf": True}),
+                     "zero-baseline": (1, {"baseline_mode": "zero"}),
+                     "three-component": (3, {})}[case]
+        args = (t, y, n, 0.15)
     monkeypatch.setattr(kernels, "exp_conv_gauss_cdf_grad", grad)
     monkeypatch.setattr(kernels, "exp_conv_gauss_cdf", cdf)
-    fit = fit_multiexp(*args)
+    fit = fit_multiexp(*args, **kwargs)
     assert fit.converged
     assert len(cdf_calls) == 1
     assert len(grad_keys) >= 2

@@ -315,3 +315,71 @@ def test_grad_lifetime_axis_rows_match_single_calls(sigma):
             assert np.array_equal(rows[k], part)
     parts = kernels.exp_conv_gauss_cdf_grad(0.5, taus, sigma)
     assert all(p.shape == (taus.size,) for p in parts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_kernel_arguments_rejected(bad):
+    # NaN passes a <= or < test, so each argument needs a check that NaN
+    # and inf fail; a NaN width would give all-NaN masses, not an error
+    ts = np.linspace(-1.0, 5.0, 7)
+    for fn in (kernels.exp_conv_gauss_cdf, kernels.exp_conv_gauss_cdf_grad):
+        with pytest.raises(ValueError, match="lifetime must be positive "
+                                             "and finite"):
+            fn(ts, bad, 0.1)
+        with pytest.raises(ValueError, match="lifetime must be positive "
+                                             "and finite"):
+            fn(ts, np.array([1.0, bad]), 0.1)
+        with pytest.raises(ValueError, match="sigma must be nonnegative "
+                                             "and finite"):
+            fn(ts, 1.0, bad)
+    with pytest.raises(ValueError, match="sigma must be nonnegative "
+                                         "and finite"):
+        kernels.gaussian_cdf(ts, bad)
+    edges = np.linspace(-1.0, 5.0, 7)
+    with pytest.raises(ValueError, match="period must be positive and "
+                                         "finite"):
+        kernels.periodic_decay_mass(edges, 1.0, 0.1, bad)
+    with pytest.raises(ValueError, match="lifetime must be positive and "
+                                         "finite"):
+        kernels.periodic_decay_mass(edges, bad, 0.1, 100.0)
+
+
+def _written_rational(x, num, den):
+    # Cody's rational function term by term, one new array per operation
+    p, q = num[0] * x, x
+    for a, b in zip(num[1:-1], den[:-1]):
+        p, q = (p + a) * x, (q + b) * x
+    return (p + num[-1]) / (q + den[-1])
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA_015, 0.4],
+                         ids=["bare", "irf-0.15", "wide"])
+def test_kernels_are_the_written_formulas_bit_for_bit(sigma):
+    # the kernels share subexpressions and work in place; every part must
+    # still equal, bit for bit, its formula written out in full
+    for coeffs in (kernels._CODY_SMALL, kernels._CODY_MID, kernels._CODY_BIG):
+        x = np.linspace(0.0, 30.0, 3001)
+        got = kernels._rational(x, *coeffs)
+        assert got.tobytes() == _written_rational(x, *coeffs).tobytes()
+    taus = np.array([0.0025, 0.73, 40.0])[:, None]
+    for ts in (np.linspace(-3.0, 12.0, 301), np.linspace(0.05, 12.0, 240)):
+        got = kernels.exp_conv_gauss_cdf_grad(ts, taus[:, 0], sigma)
+        if sigma == 0.0:
+            kern = np.where(ts >= 0.0, np.exp(-np.maximum(ts, 0.0) / taus),
+                            0.0)
+            want = (np.where(ts > 0.0, taus * (1.0 - kern), 0.0), kern,
+                    np.where(ts > 0.0, 1.0 - kern - (ts / taus) * kern, 0.0),
+                    np.zeros_like(kern))
+        else:
+            phi, kern, bump = kernels._emg(ts, taus, sigma)
+            root = kernels._SQRT2PI
+            d_kern_tau = (kern * (ts - sigma**2 / taus) / taus**2
+                          + bump / root * sigma / taus**2)
+            d_kern_sigma = (kern * sigma / taus**2
+                            - bump / root * (1.0 / taus + ts / sigma**2))
+            d_phi = -bump / root * ts / sigma**2
+            want = (taus * (phi - kern), kern,
+                    phi - kern - taus * d_kern_tau,
+                    taus * (d_phi - d_kern_sigma))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
