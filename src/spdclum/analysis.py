@@ -13,10 +13,10 @@ block of the image.  Integer sums are exact in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .emission import EmissionModel
 from .streak import RegionOfInterest, StreakImage, pulse_arrival_ns
 
@@ -84,7 +84,7 @@ def default_rois(model: EmissionModel, image: StreakImage, *,
     return spdc, lum
 
 
-@dataclass(frozen=True)
+@record
 class CountSummary:
     """Separated counts and their quotient.
 

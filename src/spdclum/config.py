@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
 
+from ._record import record
 from .emission import (DecayModel, EmissionModel, PumpConfig, WavelengthGrid,
                        make_model)
 from .filters import (POLARIZER_AXES, BandpassFilter, FilterChain,
@@ -112,8 +112,10 @@ def _format_value(value):
     return str(value)
 
 
-@dataclass(frozen=True)
+@record
 class KeySpec:
+    """A config key's value kind and default, and the values it accepts."""
+
     kind: str
     default: object
     optional: bool = False

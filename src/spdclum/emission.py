@@ -10,11 +10,11 @@ luminescence spectrum and decay do not depend on the pump at all.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+from ._record import record
 
 PUMP_RANGE_NM = (240.0, 300.0)
 MAX_AXIS_BINS = 1_000_000  # bins on one wavelength or time axis
@@ -34,7 +34,7 @@ def uniform_bin_count(min_v: float, max_v: float, step: float,
     return int(round((max_v - min_v) / step)) + 1
 
 
-@dataclass(frozen=True)
+@record
 class PumpConfig:
     """Ultraviolet pump pulse train.
 
@@ -64,7 +64,7 @@ def spdc_center_wavelength(pump: PumpConfig) -> float:
     return 2.0 * pump.wavelength_nm
 
 
-@dataclass(frozen=True)
+@record
 class SpectralProfile:
     """Normalized spectral density shape.
 
@@ -123,7 +123,7 @@ class SpectralProfile:
         return out.reshape(lam.shape)
 
 
-@dataclass(frozen=True)
+@record
 class WavelengthGrid:
     """Uniform wavelength bins; centers run from min_nm to max_nm inclusive."""
 
@@ -144,7 +144,7 @@ class WavelengthGrid:
             self.min_nm, self.max_nm, self.step_nm, "wavelength"))
 
 
-@dataclass(frozen=True)
+@record
 class DecayModel:
     """Multi-exponential luminescence decay plus instrument response width.
 
@@ -184,7 +184,7 @@ class DecayModel:
         return float(sum(a * t for a, t in self.components))
 
 
-@dataclass(frozen=True)
+@record
 class EmissionModel:
     """Everything the synthesizer and the filter pipeline need.
 

@@ -20,9 +20,10 @@ on emission.retarget_pump(model, wavelength) per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from . import kernels
+from ._record import record
 from .emission import EmissionModel, band_mass, decay_bin_masses
 from .herald import HeraldParams, fidelity_from_snr
 
@@ -32,7 +33,7 @@ POLARIZER_AXES = ("aligned_to_spdc", "orthogonal")
 _MIXED_PASS = 0.5
 
 
-@dataclass(frozen=True)
+@record
 class Polarizer:
     """Linear polarizer, specified relative to the SPDC polarization."""
 
@@ -72,7 +73,7 @@ class _SpectralFilter:
         return self._band(model.lum_spectrum, model)
 
 
-@dataclass(frozen=True)
+@record
 class LongpassFilter(_SpectralFilter):
     """Idealized edge filter: step at the cutoff with a flat plateau.
 
@@ -95,7 +96,7 @@ class LongpassFilter(_SpectralFilter):
         return self.transmission * mass
 
 
-@dataclass(frozen=True)
+@record
 class BandpassFilter(_SpectralFilter):
     """Idealized interference filter: top-hat of width fwhm_nm."""
 
@@ -117,7 +118,7 @@ class BandpassFilter(_SpectralFilter):
         return self.peak_transmission * mass
 
 
-@dataclass(frozen=True)
+@record
 class TemporalGate:
     """Detection gate centered on the pulse arrival, once per pump pulse.
 
@@ -160,7 +161,7 @@ class TemporalGate:
 FilterSpec = Polarizer | LongpassFilter | BandpassFilter | TemporalGate
 
 
-@dataclass(frozen=True)
+@record
 class FilterChain:
     """Ordered filter list; at most one temporal gate (the detection gate)."""
 
@@ -198,7 +199,7 @@ def transmit_luminescence(chain: FilterChain, model: EmissionModel) -> float:
     return _transmit(f.lum_factor(model) for f in chain)
 
 
-@dataclass(frozen=True)
+@record
 class RateAlert:
     """Pile-up guidance for a pulsed measurement."""
 
@@ -227,7 +228,7 @@ def repetition_rate_alert(model: EmissionModel) -> RateAlert:
     return RateAlert(ok, message)
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioSpec:
     """One table row: baseline counts plus how to obtain pass fractions.
 
@@ -254,7 +255,7 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioResult:
     """Post-filter counts, SNR, and fidelity for one scenario.
 

@@ -43,12 +43,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import kernels
+from ._record import record
 
 _BOUND_REL = 1e-3        # lifetime this close to its bound flags the fit
 _DEGENERATE_RATIO = 1.5  # adjacent lifetimes closer than this are degenerate
@@ -59,7 +59,7 @@ _RSS_TIE_ULPS = 4        # nnls_supports: rss this many ulps of b.b apart tie
 FTOL = XTOL = GTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@record
 class FitComponent:
     """One decay component with relative 1-sigma uncertainties."""
 
@@ -69,7 +69,7 @@ class FitComponent:
     lifetime_rel_sigma: float
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DecayFit:
     """Result of fit_multiexp; components are sorted by lifetime.
 
@@ -597,7 +597,7 @@ def _rel(sigma: float, value: float) -> float:
     return float(sigma) / abs(float(value)) if value != 0.0 else math.inf
 
 
-@dataclass(frozen=True)
+@record
 class ComponentAgreement:
     """Cross-condition agreement of one lifetime component."""
 
@@ -607,7 +607,7 @@ class ComponentAgreement:
     agree: bool
 
 
-@dataclass(frozen=True)
+@record
 class IndependenceReport:
     """Do fitted lifetimes agree across conditions within 1-sigma bands?"""
 

@@ -27,10 +27,10 @@ luminescence photons do not arrive in pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .emission import EmissionModel
 
 VALIDITY_BOUND = 0.05
@@ -64,7 +64,7 @@ def pair_probability(rate_hz: float, window_ns: float) -> float:
     return _check_probability("P", rate_hz * window_ns * 1e-9)
 
 
-@dataclass(frozen=True)
+@record
 class HeraldParams:
     """Rates (per collected mode) and the detection window.
 
@@ -105,7 +105,7 @@ class HeraldParams:
         return self._prob(self.lum_rate_hz if rate is None else rate)
 
 
-@dataclass(frozen=True)
+@record
 class HeraldOutcome:
     """Analytic per-window outcome probabilities."""
 
@@ -138,7 +138,7 @@ def outcome_probabilities(p_s: float, p_l: float,
     return HeraldOutcome(p0, p1, p2, n, p1 / n)
 
 
-@dataclass(frozen=True)
+@record
 class FidelityEstimate:
     """Exact and first-order heralded-single-photon fidelity.
 
@@ -170,7 +170,7 @@ def fidelity_from_snr(snr: float, window_ns: float,
     return FidelityEstimate(f_exact, f_approx, f_exact <= 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class MonteCarloHerald:
     """Empirical outcome tally; fidelity_hat is the heralded fraction
     k1 / (k0 + k1 + k2), with its Wald standard error.
@@ -207,6 +207,9 @@ def monte_carlo_herald(params: HeraldParams, n_windows: int,
     """
     if n_windows < 1:
         raise ValueError("need at least one window")
+    if n_windows > 2**63 - 1:
+        raise ValueError(f"{n_windows} windows exceed the multinomial draw's "
+                         "64-bit count, 2**63 - 1")
     p_s, p_l, p_ls = params.p_s, params.p_l, params.p_l_signal
     cells = [p_s * p_ls, p_s * (1.0 - p_ls), (1.0 - p_s) * p_l]
     rng = np.random.default_rng(int(seed))

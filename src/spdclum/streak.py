@@ -30,12 +30,13 @@ counts, handing the count rows to NumPy one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping
 
 import numpy as np
 
 from . import kernels
+from ._record import record
 
 
 class StreakParseError(Exception):
@@ -55,7 +56,7 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class StreakImage:
     """Wavelength-time histogram of photon counts.
 
@@ -132,7 +133,7 @@ def pulse_arrival_ns(metadata: Mapping[str, str]) -> float:
     return t0
 
 
-@dataclass(frozen=True)
+@record
 class RegionOfInterest:
     """Rectangle in (wavelength, time); bounds are inclusive on bin centers."""
 

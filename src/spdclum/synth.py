@@ -26,8 +26,6 @@ stream) of one whole-image draw.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from . import kernels
@@ -146,6 +144,8 @@ def synthesize(model: EmissionModel, wavelength_grid=None, time_grid=None, *,
     metadata when the time binning cannot resolve the IRF-limited SPDC
     pulse.
     """
+    import hashlib  # loading _hashlib costs ~3 ms, in every command else
+
     mean = expected_counts(model, wavelength_grid, time_grid,
                            exposure=exposure, t0=t0)
     lam = (np.asarray(wavelength_grid, dtype=float)

@@ -756,6 +756,17 @@ def test_herald_monte_carlo_without_heralds_exits_5(capsys):
     assert err == ""
 
 
+def test_herald_monte_carlo_window_count_fits_int64(capsys):
+    # the multinomial draw counts windows in 64-bit integers
+    code, text, err = run(capsys, "herald", "--monte-carlo", "1e19")
+    assert code == 2
+    assert text == ""
+    assert err.startswith("configuration error: 10000000000000000000 windows")
+    code, text, _ = run(capsys, "herald", "--monte-carlo", "9e18")
+    assert code == 0
+    assert "monte carlo: 9000000000000000000 windows" in text
+
+
 def test_herald_reports_the_signal_rate(capsys):
     code, text, _ = run(capsys, "herald",
                         "--set", "herald.lum_rate_signal_hz=1e4")

@@ -21,13 +21,13 @@ from spdclum.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 # runs one subcommand with every scipy import failing, then prints its exit
-# code and whether numpy.ma was loaded as the last stdout line
+# code and whether numpy.ma and _hashlib were loaded as the last stdout line
 _PROBE = """
 import sys
 sys.modules["scipy"] = None
 from spdclum.cli import main
 code = main(sys.argv[1:])
-print(code, "numpy.ma" in sys.modules)
+print(code, "numpy.ma" in sys.modules, "_hashlib" in sys.modules)
 """
 
 
@@ -129,7 +129,7 @@ def test_subcommand_runs_without_scipy(name, blocked_run, tmp_path,
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
     code = main(argv)
-    loaded = stdout.split()[-1]
+    loaded = " ".join(stdout.split()[-2:])
     assert stdout == f"{capsys.readouterr().out}{code} {loaded}\n"
     assert blocked_files == {p.relative_to(tmp_path): p.read_bytes()
                              for p in tmp_path.rglob("*") if p.is_file()}
@@ -141,9 +141,43 @@ def test_subcommand_skips_numpy_ma(name, blocked_run):
     # np.median's NaN check imports numpy.ma, ~15 ms of a fresh fit; without
     # an IRF, analyze sizes the SPDC gate from the median time bin.  Reads
     # the same child as test_subcommand_runs_without_scipy.
-    exit_code, loaded = blocked_run(name)[1].split()[-2:]
+    exit_code, loaded = blocked_run(name)[1].split()[-3:-1]
     assert exit_code in ("0", "5")
     assert loaded == "False"
+
+
+@pytest.mark.parametrize("name", ["analyze", "fit", "herald", "scenario"])
+def test_subcommand_skips_hashlib(name, blocked_run):
+    # loading _hashlib costs ~3 ms of a fresh process; only synthesis hashes
+    # the model.  Reads the same child as test_subcommand_runs_without_scipy.
+    exit_code, loaded = blocked_run(name)[1].split()[-3::2]
+    assert exit_code in ("0", "5")
+    assert loaded == "False"
+
+
+def test_records_hold_no_generated_methods():
+    # CPython 3.11's dataclasses compiles each method it writes from source
+    # text as the class is made, ~0.1 ms per method at import; such code is
+    # filed as "<string>"
+    import dataclasses
+    import inspect
+
+    modules = [importlib.import_module(f"spdclum.{path.stem}")
+               for path in sorted((ROOT / "src" / "spdclum").glob("*.py"))
+               if path.stem != "__init__"]
+    records = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+               and obj.__module__ == module.__name__}
+    generated = []
+    for cls in records:
+        for name in ("__init__", "__repr__", "__eq__", "__hash__",
+                     "__setattr__", "__delattr__"):
+            method = inspect.unwrap(getattr(cls, name))
+            code = getattr(method, "__code__", None)
+            if code is not None and code.co_filename == "<string>":
+                generated.append(f"{cls.__name__}.{name}")
+    assert len(records) >= 25
+    assert sorted(generated) == []
 
 
 @pytest.fixture(scope="module")
