@@ -20,13 +20,6 @@ import reprlib
 _MISSING = dataclasses.MISSING
 
 
-class _Factory:
-    """The default a signature shows for a field with a default_factory."""
-
-    def __repr__(self):
-        return "<factory>"
-
-
 def _tuple_getter(names):
     """self -> (self.<name>, ...) over names, always a tuple."""
     if len(names) == 1:
@@ -49,10 +42,7 @@ def record(cls=None, /, *, eq=True):
                                                     if f.kw_only]
     positional = tuple(f.name for f in order if not f.kw_only)
     defaults = {f.name: f.default for f in fields if f.default is not _MISSING}
-    factories = {f.name: f.default_factory for f in fields
-                 if f.default_factory is not _MISSING}
-    required = [f for f in order
-                if f.name not in defaults and f.name not in factories]
+    required = [f for f in order if f.name not in defaults]
     # positional fields with defaults follow those without, so enough args
     # leave only a required keyword-only field to check
     check_below = (len(positional) + 1 if any(f.kw_only for f in required)
@@ -83,9 +73,6 @@ def record(cls=None, /, *, eq=True):
                 if state[f.name] is _MISSING:
                     raise TypeError(f"{qualname}.__init__() missing required "
                                     f"argument: {f.name!r}")
-        for name, factory in factories.items():
-            if state[name] is _MISSING:
-                state[name] = factory()
         if post_init:
             self.__post_init__()
 
@@ -131,8 +118,7 @@ def record(cls=None, /, *, eq=True):
     for f in order:
         kind = (inspect.Parameter.KEYWORD_ONLY if f.kw_only
                 else inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        default = (_Factory() if f.name in factories
-                   else defaults.get(f.name, inspect.Parameter.empty))
+        default = defaults.get(f.name, inspect.Parameter.empty)
         parameters.append(inspect.Parameter(f.name, kind, default=default,
                                             annotation=f.type))
     cls.__signature__ = inspect.Signature(parameters, return_annotation=None)

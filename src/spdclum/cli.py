@@ -427,13 +427,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     # probability shorthands need the resolved window to become rates
     if hasattr(args, "ps") or hasattr(args, "pl"):
         window_s = cfg.get("herald.window_ns") * 1e-9
+        if not window_s > 0.0:
+            # refused before the division, as HeraldParams refuses it
+            raise ConfigError("herald: detection window must be positive")
         for attr, key in (("ps", "spdc_rate_hz"), ("pl", "lum_rate_hz")):
             if hasattr(args, attr):
-                try:
-                    prob = float(getattr(args, attr))
-                except ValueError:
-                    raise ConfigError(
-                        f"--{attr} expects a probability") from None
+                prob = REGISTRY[key].parse(f"--{attr}", getattr(args, attr))
                 overrides[key] = repr(prob / window_s)
         cfg = resolve_config(config_path, overrides=overrides)
     return cfg

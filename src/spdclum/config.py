@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from typing import Callable
 
 from ._record import record
 from .emission import (DecayModel, EmissionModel, PumpConfig, WavelengthGrid,
@@ -43,8 +44,8 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-# value kinds: parse/format pairs. Optional kinds accept the literal none.
-def _parse_float(key, text):
+# value kinds, each parsing (key, text); optional keys also take none
+def _float(key, text):
     try:
         value = float(text)
     except ValueError:
@@ -54,7 +55,7 @@ def _parse_float(key, text):
     return value
 
 
-def _parse_int(key, text):
+def _int(key, text):
     """Every integer key is a count or a seed: nonnegative."""
     try:
         value = int(text, 10)
@@ -72,7 +73,7 @@ def _parse_int(key, text):
     return value
 
 
-def _parse_bool(key, text):
+def _bool(key, text):
     if text == "true":
         return True
     if text == "false":
@@ -80,24 +81,15 @@ def _parse_bool(key, text):
     raise ConfigError(f"{key}: expected true or false, got {text!r}")
 
 
-def _parse_floats(key, text):
+def _floats(key, text):
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         raise ConfigError(f"{key}: empty list")
-    return tuple(_parse_float(key, p) for p in parts)
+    return tuple(_float(key, p) for p in parts)
 
 
-def _parse_str(key, text):
+def _str(key, text):
     return text
-
-
-_PARSERS = {
-    "float": _parse_float,
-    "int": _parse_int,
-    "bool": _parse_bool,
-    "floats": _parse_floats,
-    "str": _parse_str,
-}
 
 
 def _format_value(value):
@@ -114,9 +106,9 @@ def _format_value(value):
 
 @record
 class KeySpec:
-    """A config key's value kind and default, and the values it accepts."""
+    """A config key's value kind (its parser), default and accepted values."""
 
-    kind: str
+    kind: Callable[[str, str], object]
     default: object
     optional: bool = False
     choices: tuple[str, ...] | None = None
@@ -124,7 +116,7 @@ class KeySpec:
     def parse(self, key: str, text: str):
         if self.optional and text == "none":
             return None
-        value = _PARSERS[self.kind](key, text)
+        value = self.kind(key, text)
         if self.choices is not None and value not in self.choices:
             raise ConfigError(
                 f"{key}: expected one of {', '.join(self.choices)}, "
@@ -132,63 +124,60 @@ class KeySpec:
         return value
 
 
-def _k(kind, default, optional=False, choices=None):
-    return KeySpec(kind, default, optional, choices)
-
-
 # Scalar keys, in serialization order; model defaults are the classes' own.
+_SPDC, _LUM = EmissionModel.spdc_spectrum, EmissionModel.lum_spectrum
 REGISTRY: dict[str, KeySpec] = {
-    "seed": _k("int", 0),
-    "out.dir": _k("str", None, optional=True),
-    "out.format": _k("str", "pretty", choices=("csv", "pretty")),
+    "seed": KeySpec(_int, 0),
+    "out.dir": KeySpec(_str, None, optional=True),
+    "out.format": KeySpec(_str, "pretty", choices=("csv", "pretty")),
 
-    "pump.wavelength_nm": _k("float", PumpConfig.wavelength_nm),
-    "pump.repetition_rate_hz": _k("float", PumpConfig.repetition_rate_hz),
-    "spdc_spectrum.fwhm_nm": _k("float", EmissionModel.spdc_spectrum.fwhm_nm),
-    "lum_spectrum.center_nm": _k("float", EmissionModel.lum_spectrum.center_nm),
-    "lum_spectrum.fwhm_nm": _k("float", EmissionModel.lum_spectrum.fwhm_nm),
-    "lum_spectrum.skew": _k("float", EmissionModel.lum_spectrum.skew),
-    "lum_decay.amplitudes": _k("floats", DecayModel.amplitudes),
-    "lum_decay.lifetimes_ns": _k("floats", DecayModel.lifetimes_ns),
-    "lum_decay.irf_fwhm_ns": _k("float", DecayModel.irf_fwhm_ns),
-    "spdc_rate_hz": _k("float", EmissionModel.spdc_rate_hz),
-    "lum_rate_hz": _k("float", EmissionModel.lum_rate_hz),
-    "spdc_polarized": _k("bool", EmissionModel.spdc_polarized),
-    "grid.min_nm": _k("float", WavelengthGrid.min_nm),
-    "grid.max_nm": _k("float", WavelengthGrid.max_nm),
-    "grid.step_nm": _k("float", WavelengthGrid.step_nm),
+    "pump.wavelength_nm": KeySpec(_float, PumpConfig.wavelength_nm),
+    "pump.repetition_rate_hz": KeySpec(_float, PumpConfig.repetition_rate_hz),
+    "spdc_spectrum.fwhm_nm": KeySpec(_float, _SPDC.fwhm_nm),
+    "lum_spectrum.center_nm": KeySpec(_float, _LUM.center_nm),
+    "lum_spectrum.fwhm_nm": KeySpec(_float, _LUM.fwhm_nm),
+    "lum_spectrum.skew": KeySpec(_float, _LUM.skew),
+    "lum_decay.amplitudes": KeySpec(_floats, DecayModel.amplitudes),
+    "lum_decay.lifetimes_ns": KeySpec(_floats, DecayModel.lifetimes_ns),
+    "lum_decay.irf_fwhm_ns": KeySpec(_float, DecayModel.irf_fwhm_ns),
+    "spdc_rate_hz": KeySpec(_float, EmissionModel.spdc_rate_hz),
+    "lum_rate_hz": KeySpec(_float, EmissionModel.lum_rate_hz),
+    "spdc_polarized": KeySpec(_bool, EmissionModel.spdc_polarized),
+    "grid.min_nm": KeySpec(_float, WavelengthGrid.min_nm),
+    "grid.max_nm": KeySpec(_float, WavelengthGrid.max_nm),
+    "grid.step_nm": KeySpec(_float, WavelengthGrid.step_nm),
 
-    "synth.exposure": _k("int", 100000),
-    "synth.time_min_ns": _k("float", -2.0),
-    "synth.time_max_ns": _k("float", 8.0),
-    "synth.time_step_ns": _k("float", 0.05),
-    "synth.wavelength_min_nm": _k("float", None, optional=True),
-    "synth.wavelength_max_nm": _k("float", None, optional=True),
-    "synth.wavelength_step_nm": _k("float", None, optional=True),
-    "synth.t0_ns": _k("float", 0.0),
+    "synth.exposure": KeySpec(_int, 100000),
+    "synth.time_min_ns": KeySpec(_float, -2.0),
+    "synth.time_max_ns": KeySpec(_float, 8.0),
+    "synth.time_step_ns": KeySpec(_float, 0.05),
+    "synth.wavelength_min_nm": KeySpec(_float, None, optional=True),
+    "synth.wavelength_max_nm": KeySpec(_float, None, optional=True),
+    "synth.wavelength_step_nm": KeySpec(_float, None, optional=True),
+    "synth.t0_ns": KeySpec(_float, 0.0),
 
-    "analyze.overlap_mode": _k("str", "none",
-                               choices=("none", "model-subtract")),
-    "analyze.spdc_roi": _k("floats", None, optional=True),
-    "analyze.lum_roi": _k("floats", None, optional=True),
-    "analyze.t0_ns": _k("float", None, optional=True),
+    "analyze.overlap_mode": KeySpec(_str, "none",
+                                    choices=("none", "model-subtract")),
+    "analyze.spdc_roi": KeySpec(_floats, None, optional=True),
+    "analyze.lum_roi": KeySpec(_floats, None, optional=True),
+    "analyze.t0_ns": KeySpec(_float, None, optional=True),
 
-    "fit.n_components": _k("int", 1),
-    "fit.irf_fwhm_ns": _k("float", None, optional=True),
-    "fit.baseline_mode": _k("str", "free", choices=("free", "zero")),
-    "fit.t0_ns": _k("float", None, optional=True),
-    "fit.fit_t0": _k("bool", None, optional=True),
-    "fit.band_nm": _k("floats", None, optional=True),
+    "fit.n_components": KeySpec(_int, 1),
+    "fit.irf_fwhm_ns": KeySpec(_float, None, optional=True),
+    "fit.baseline_mode": KeySpec(_str, "free", choices=("free", "zero")),
+    "fit.t0_ns": KeySpec(_float, None, optional=True),
+    "fit.fit_t0": KeySpec(_bool, None, optional=True),
+    "fit.band_nm": KeySpec(_floats, None, optional=True),
 
-    "herald.window_ns": _k("float", HeraldParams.window_ns),
-    "herald.lum_rate_signal_hz": _k("float", None, optional=True),
-    "herald.n_windows": _k("int", 0),
-    "herald.snr": _k("float", None, optional=True),
+    "herald.window_ns": KeySpec(_float, HeraldParams.window_ns),
+    "herald.lum_rate_signal_hz": KeySpec(_float, None, optional=True),
+    "herald.n_windows": KeySpec(_int, 0),
+    "herald.snr": KeySpec(_float, None, optional=True),
 
-    "scenario.window_ns": _k("float", HeraldParams.window_ns),
-    "scenario.spdc_rate_hz": _k("float", EmissionModel.spdc_rate_hz),
-    "scenario.baseline_c_spdc": _k("float", 2.225e10, optional=True),
-    "scenario.baseline_c_lum": _k("float", 1.343e10, optional=True),
+    "scenario.window_ns": KeySpec(_float, HeraldParams.window_ns),
+    "scenario.spdc_rate_hz": KeySpec(_float, EmissionModel.spdc_rate_hz),
+    "scenario.baseline_c_spdc": KeySpec(_float, 2.225e10, optional=True),
+    "scenario.baseline_c_lum": KeySpec(_float, 1.343e10, optional=True),
 }
 
 # Numbered groups: filter.N.* and scenario.N.*, as member keys in
@@ -197,33 +186,34 @@ REGISTRY: dict[str, KeySpec] = {
 # the filter classes' own.
 _FILTER_KINDS = {
     "polarizer": (Polarizer, {
-        "axis": _k("str", Polarizer.axis, choices=POLARIZER_AXES)}),
+        "axis": KeySpec(_str, Polarizer.axis, choices=POLARIZER_AXES)}),
     "longpass": (LongpassFilter, {
-        "cutoff_nm": _k("float", None),
-        "transmission": _k("float", LongpassFilter.transmission)}),
+        "cutoff_nm": KeySpec(_float, None),
+        "transmission": KeySpec(_float, LongpassFilter.transmission)}),
     "bandpass": (BandpassFilter, {
-        "center_nm": _k("float", None),
-        "fwhm_nm": _k("float", None),
-        "peak_transmission": _k("float", BandpassFilter.peak_transmission)}),
+        "center_nm": KeySpec(_float, None),
+        "fwhm_nm": KeySpec(_float, None),
+        "peak_transmission": KeySpec(_float,
+                                     BandpassFilter.peak_transmission)}),
     "temporal_gate": (TemporalGate, {
-        "window_ns": _k("float", None),
-        "latency_ns": _k("float", TemporalGate.latency_ns)}),
+        "window_ns": KeySpec(_float, None),
+        "latency_ns": KeySpec(_float, TemporalGate.latency_ns)}),
 }
 
 _SCENARIO_MEMBERS = {
-    "label": _k("str", None, optional=True),
-    "c_spdc": _k("float", None, optional=True),
-    "c_lum": _k("float", None, optional=True),
-    "spdc_fraction": _k("float", None, optional=True),
-    "lum_fraction": _k("float", None, optional=True),
-    "use_chain": _k("bool", False),
-    "reference_snr": _k("float", None, optional=True),
+    "label": KeySpec(_str, None, optional=True),
+    "c_spdc": KeySpec(_float, None, optional=True),
+    "c_lum": KeySpec(_float, None, optional=True),
+    "spdc_fraction": KeySpec(_float, None, optional=True),
+    "lum_fraction": KeySpec(_float, None, optional=True),
+    "use_chain": KeySpec(_bool, False),
+    "reference_snr": KeySpec(_float, None, optional=True),
 }
 
 _GROUP_RE = re.compile(r"^(filter|scenario)\.([0-9]+)\.([a-z0-9_]+)$")
 _KEY_RE = re.compile(r"^[a-z0-9_.]+$")
 
-_FILTER_KIND_SPEC = _k("str", None, choices=tuple(_FILTER_KINDS))
+_FILTER_KIND_SPEC = KeySpec(_str, None, choices=tuple(_FILTER_KINDS))
 
 
 class RunConfig:

@@ -18,6 +18,11 @@ from ._record import record
 
 PUMP_RANGE_NM = (240.0, 300.0)
 MAX_AXIS_BINS = 1_000_000  # bins on one wavelength or time axis
+# a skewed profile's long half width is exp(skew) times its short one, and
+# its internal width is delta ~ 2 fwhm skew exp(-skew); up to skew 230
+# (exp(230) ~ 1e100) and down to the FWHM floor kernels.MIN_SCALE, the
+# offset over delta stays finite for every wavelength offset below 1e108 nm
+_MAX_SKEW = 230.0
 
 
 def uniform_bin_count(min_v: float, max_v: float, step: float,
@@ -81,8 +86,12 @@ class SpectralProfile:
     def __post_init__(self):
         if self.fwhm_nm <= 0.0:
             raise ValueError("spectral FWHM must be positive")
+        kernels.check_scale("spectral FWHM", self.fwhm_nm, "nm")
         if self.skew < 0.0:
             raise ValueError("skew must be nonnegative")
+        if self.skew > _MAX_SKEW:
+            raise ValueError(f"skew {self.skew:g} is above {_MAX_SKEW:g}, "
+                             "where one half width is 1e100 times the other")
 
     def shape(self, wavelength_nm) -> np.ndarray:
         """Unnormalized shape (peak value 1 at center_nm)."""
@@ -171,8 +180,10 @@ class DecayModel:
             raise ValueError("lifetimes must be positive")
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise ValueError("lifetimes must be strictly increasing")
+        kernels.check_scale("lifetime", taus[0], "ns")
         if self.irf_fwhm_ns < 0.0:
             raise ValueError("IRF FWHM must be nonnegative")
+        kernels.check_scale("IRF FWHM", self.irf_fwhm_ns, "ns")
 
     @property
     def components(self) -> tuple[tuple[float, float], ...]:

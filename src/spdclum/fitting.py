@@ -277,6 +277,7 @@ class DecayDesign:
             raise ValueError("pulse arrival t0 must be finite")
         if irf_fwhm_ns is not None and not 0.0 <= irf_fwhm_ns < math.inf:
             raise ValueError("IRF FWHM must be nonnegative and finite")
+        kernels.check_scale("IRF FWHM", irf_fwhm_ns or 0.0, "ns")
         if fit_t0 is None:
             fit_t0 = bool(irf_fwhm_ns)
         if fit_t0 and not irf_fwhm_ns:

@@ -18,12 +18,13 @@ erfcx and the Gaussian CDF come from Cody's rational approximations in NumPy.
 
 Lifetimes and the pulse period must be positive and finite, and sigma
 nonnegative and finite; anything else, NaN included, raises ValueError
-instead of returning NaN masses.  A fit evaluates these kernels once per
-parameter point on a few hundred times, where each NumPy call costs more
-than its arithmetic.  So the Horner loops run in place, shared
-subexpressions are computed once, and times wholly past the pulse skip the
-sigma = 0 masking; each keeps the operation order of the formula written
-out, so every value is the same bit for bit.
+instead of returning NaN masses.  The convolution also refuses lifetimes
+and sigma from 2**511 on, where their squares overflow.  A fit evaluates
+these kernels once per parameter point on a few hundred times, where each
+NumPy call costs more than its arithmetic.  So the Horner loops run in
+place, shared subexpressions are computed once, and times wholly past the
+pulse skip the sigma = 0 masking; each keeps the operation order of the
+formula written out, so every value is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+
+# the narrowest nonzero width and shortest lifetime, in ns or nm, that a
+# model or a fit takes: the kernels divide t by tau and by sigma^2 and square
+# t / sigma, all finite from this scale up for |t| below 1e53
+MIN_SCALE = 1e-100
+# lifetimes and sigma stay below this, so that 2 tau^2 and sigma^2 are finite
+_MAX_SCALE = 2.0 ** 511
 
 # below this erfc(z) = 2 - erfc(-z) is 2 to rounding (erfc(6) / 2 ~ 1e-17
 # relative), so the kernel is exactly the pure exponential tail
@@ -142,9 +150,20 @@ def _check_sigma(sigma):
 
 
 def _check_kernel_args(tau, sigma):
-    if not ((tau > 0.0) & (tau < np.inf)).all():
-        raise ValueError("lifetime must be positive and finite")
-    _check_sigma(sigma)
+    # NaN fails every comparison, so it is refused with inf
+    if not ((tau > 0.0) & (tau < _MAX_SCALE)).all():
+        raise ValueError(
+            "lifetime must be positive and finite, below 2**511 ns")
+    if not 0.0 <= sigma < _MAX_SCALE:
+        raise ValueError(
+            "sigma must be nonnegative and finite, below 2**511 ns")
+
+
+def check_scale(name: str, value: float, unit: str) -> None:
+    """Refuse a width or lifetime above 0 and below MIN_SCALE."""
+    if 0.0 < value < MIN_SCALE:
+        raise ValueError(f"{name} {value:g} {unit} is below {MIN_SCALE:g} "
+                         f"{unit}, where the closed forms overflow")
 
 
 def _phi(w, bump, ex):
@@ -272,8 +291,14 @@ def periodic_decay_mass(edges, tau: float, sigma: float, period: float):
     # with q = exp(-period/tau); skipped once q underflows
     x = period / tau
     if x <= 690.0:
+        q = np.exp(-x)
+        if q == 1.0:
+            raise ValueError(
+                f"lifetime {tau:g} ns is too long for pulse period "
+                f"{period:g} ns: exp(-period/tau) rounds to 1, so the "
+                "pile-up series diverges")
         off = sigma**2 / (2.0 * tau**2) - 2.0 * x
-        coeff = 1.0 / (1.0 - np.exp(-x))
+        coeff = 1.0 / (1.0 - q)
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.exp(off - e / tau)
             tail = coeff * tau * (g[:-1] - g[1:])

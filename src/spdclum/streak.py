@@ -30,7 +30,6 @@ counts, handing the count rows to NumPy one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import field
 from typing import Mapping
 
 import numpy as np
@@ -62,15 +61,15 @@ class StreakImage:
 
     counts has shape (n_time, n_wavelength); both axes store bin centers and
     increase strictly; the counts' total fits in int64.  metadata carries
-    flat string pairs (seed, exposure, model hash, warnings) and survives
-    the CSV round trip.
+    flat string pairs (seed, exposure, model hash, warnings), is copied into
+    a fresh dict (an empty one for None) and survives the CSV round trip.
     """
 
     counts: np.ndarray
     wavelength_axis_nm: np.ndarray
     time_axis_ns: np.ndarray
     exposure: int
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    metadata: Mapping[str, str] | None = None
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -109,7 +108,7 @@ class StreakImage:
         object.__setattr__(self, "wavelength_axis_nm", wl)
         object.__setattr__(self, "time_axis_ns", t)
         object.__setattr__(self, "exposure", int(self.exposure))
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        object.__setattr__(self, "metadata", dict(self.metadata or {}))
 
     @property
     def total_counts(self) -> int:

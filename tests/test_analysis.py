@@ -234,3 +234,30 @@ def test_trace_fwhm_gaussian():
     assert fwhm == pytest.approx(2.3548200450309493 * sigma, rel=1e-3)
     with pytest.raises(ValueError):
         trace_fwhm(t, np.zeros_like(t))
+
+
+def _rising_trace():
+    # the peak sits in the last bin, so no half-maximum crossing follows it
+    t = np.arange(5.0)
+    return t, t + 1.0
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda img: extract_time_trace(img, (800.0, 900.0)),
+     "wavelength band selects no bins"),
+    (lambda img: extract_spectrum(img, (5.0, 1.0)),
+     "inverted time window (5.0, 1.0)"),
+    (lambda img: extract_spectrum(img, (100.0, 200.0)),
+     "time window selects no bins"),
+    (lambda img: trace_fwhm([0.0, 1.0], [1.0, 2.0]),
+     "trace too short for a width estimate"),
+    (lambda img: trace_fwhm(*_rising_trace()),
+     "half-maximum crossing not inside the trace"),
+], ids=["empty-band", "inverted-window", "empty-window", "short-trace",
+        "no-crossing"])
+def test_analysis_refuses(call, start):
+    _, img = _image()
+    with pytest.raises(Exception) as err:
+        call(img)
+    assert err.type is ValueError
+    assert str(err.value).startswith(start)

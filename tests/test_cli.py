@@ -896,3 +896,101 @@ def test_unwritable_out_dir_exits_2(tmp_path, capsys, sub):
     assert text == ""
     assert err.startswith("configuration error: out.dir: [Errno ")
     assert taken.read_text() == "x"
+
+
+@pytest.mark.parametrize("window", [["--tw", "0"], ["--tw", "-5"],
+                                    ["--set", "herald.window_ns=0"]],
+                         ids=["zero", "negative", "zero-key"])
+def test_probabilities_need_a_positive_window(capsys, window):
+    # the window is checked before --ps/--pl are divided by it
+    code, text, err = run(capsys, "herald", "--ps", "1e-3", "--pl", "1e-4",
+                          *window)
+    assert (code, text, err) == (
+        2, "", "configuration error: herald: detection window must be "
+               "positive\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--ps", "nan"], "--ps: nan is not allowed"),
+    (["--pl", "inf"], "--pl: inf is not allowed"),
+    (["--ps", "abc"], "--ps: not a number: 'abc'"),
+], ids=["nan", "inf", "text"])
+def test_probability_flags_parse_as_their_rate_keys(capsys, argv, message):
+    # the rate key's own parser reads the flag, and its error names the flag
+    code, text, err = run(capsys, "herald", *argv)
+    assert (code, text, err) == (2, "", f"configuration error: {message}\n")
+
+
+@pytest.fixture(scope="module")
+def seed3_image(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seed3")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(out), "--seed", "3"]) == 0
+    return str(out / "streak.csv")
+
+
+_ONE_LIFETIME = ["--set", "lum_decay.amplitudes=1", "--set"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--out", "d", *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e160"],
+     "lifetime must be positive and finite, below 2**511 ns"),
+    (["scenario", "--set", "filter.1.kind=temporal_gate", "--set",
+      "filter.1.window_ns=10", "--set", "scenario.1.use_chain=true",
+      *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e200"],
+     "lifetime must be positive and finite, below 2**511 ns"),
+    (["synth", "--out", "d", *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e30"],
+     "lifetime 1e+30 ns is too long for pulse period 1e+06 ns"),
+    (["synth", "--out", "d", "--set", "lum_spectrum.skew=1000"],
+     "emission model: skew 1000 is above 230, where one half width"),
+    (["synth", "--out", "d", "--set", "lum_decay.irf_fwhm_ns=1e-310"],
+     "emission model: IRF FWHM 1e-310 ns is below 1e-100 ns"),
+    (["synth", "--out", "d", "--set", "lum_decay.irf_fwhm_ns=1e200"],
+     "sigma must be nonnegative and finite, below 2**511 ns"),
+    (["synth", "--out", "d", "--set", "spdc_spectrum.fwhm_nm=1e-310"],
+     "emission model: spectral FWHM 1e-310 nm is below 1e-100 nm"),
+    (["synth", "--out", "d", *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e-320"],
+     "emission model: lifetime 9.99989e-321 ns is below 1e-100 ns"),
+    (["fit", "IMAGE", "--irf", "1e-308"],
+     "IRF FWHM 1e-308 ns is below 1e-100 ns"),
+    (["herald", "--ps", "1e-3", "--pl", "1e-4", "--tw", "0"],
+     "herald: detection window must be positive"),
+], ids=["huge-lifetime", "huge-lifetime-gate", "lifetime-beyond-period",
+        "huge-skew", "subnormal-irf", "huge-irf", "subnormal-spdc-fwhm",
+        "subnormal-lifetime", "subnormal-fit-irf", "probability-zero-window"])
+def test_extreme_values_exit_2_without_warnings(tmp_path, seed3_image, argv,
+                                                message):
+    # a fresh interpreter that turns every warning into an error: the value
+    # is refused before any NumPy operation overflows or divides by zero
+    import subprocess
+    import sys
+
+    argv = [seed3_image if a == "IMAGE" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "spdclum",
+                           *argv], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"configuration error: {message}")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    # every spdclum line of the README's command-line block, in order, from
+    # a directory holding a copy of demos/table.cfg
+    import shlex
+    import shutil
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("spdclum ")]
+    assert len(lines) == 8
+    (tmp_path / "demos").mkdir()
+    shutil.copy(ROOT / "demos" / "table.cfg", tmp_path / "demos")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code = main(shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, capsys.readouterr().err)

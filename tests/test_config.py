@@ -247,7 +247,7 @@ def test_nonfinite_floats_rejected(key, text):
 
 
 @pytest.mark.parametrize("key", [k for k, spec in REGISTRY.items()
-                                 if spec.kind == "int"])
+                                 if spec.kind.__name__ == "_int"])
 def test_negative_integers_rejected(key):
     # every integer key is a count or a seed
     assert resolve_config(overrides={key: "0"}, environ={}).get(key) == 0

@@ -320,3 +320,41 @@ def test_model_fingerprint_stable_and_sensitive():
     # NumPy scalars print like the Python floats they equal
     assert emission.model_fingerprint(make_model(np.float64(260.0))) == \
         prints["pump_wavelength_nm"]
+
+
+def test_symmetric_shape_is_half_at_half_width():
+    shape = SpectralProfile(534.0, 10.0).shape(np.array([529.0, 534.0, 539.0]))
+    assert np.allclose(shape, [0.5, 1.0, 0.5], rtol=1e-15)
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda: DecayModel((-0.5, 1.5), (1.0, 2.0)),
+     "decay amplitudes must be positive"),
+    (lambda: DecayModel((1.0,), (-1.0,)), "lifetimes must be positive"),
+    (lambda: make_model(spdc_rate_hz=-1.0), "rates must be nonnegative"),
+    (lambda: band_mass(SpectralProfile(534.0, 1e-3),
+                       WavelengthGrid(300.0, 400.0), (300.0, 400.0)),
+     "spectral profile has no mass on the wavelength grid"),
+    # below 1e-100 the closed forms overflow; past skew 230 the profile's
+    # internal width underflows against its half widths
+    (lambda: SpectralProfile(534.0, 1e-310),
+     "spectral FWHM 1e-310 nm is below 1e-100 nm"),
+    (lambda: SpectralProfile(430.0, 60.0, 1000.0), "skew 1000 is above 230"),
+    (lambda: DecayModel((1.0,), (1e-101,)),
+     "lifetime 1e-101 ns is below 1e-100 ns"),
+    (lambda: DecayModel(irf_fwhm_ns=1e-310),
+     "IRF FWHM 1e-310 ns is below 1e-100 ns"),
+], ids=["negative-amplitude", "negative-lifetime", "negative-rate",
+        "no-mass-on-grid", "subnormal-fwhm", "huge-skew", "tiny-lifetime",
+        "subnormal-irf"])
+def test_model_records_refuse(call, start):
+    with pytest.raises(Exception) as err:
+        call()
+    assert err.type is ValueError
+    assert str(err.value).startswith(start)
+
+
+def test_scale_floor_and_skew_cap_are_inclusive():
+    assert DecayModel((1.0,), (1e-100,), 1e-100).lifetimes_ns == (1e-100,)
+    assert DecayModel(irf_fwhm_ns=0.0).irf_fwhm_ns == 0.0
+    assert SpectralProfile(430.0, 1e-100, 230.0).skew == 230.0

@@ -300,3 +300,18 @@ def test_repetition_rate_alert():
     assert repetition_rate_alert(make_model(repetition_rate_hz=edge)).ok
     assert not repetition_rate_alert(
         make_model(repetition_rate_hz=edge * 1.001)).ok
+
+
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: BandpassFilter(534.0, 10.0, peak_transmission=0.0), ValueError,
+     "peak transmission must be in (0, 1]"),
+    (lambda: FilterChain(("longpass",)), TypeError,
+     "not a filter: 'longpass'"),
+    (lambda: ScenarioSpec("a", -1.0, 1.0), ValueError,
+     "baseline counts must be nonnegative"),
+], ids=["bandpass-transmission", "not-a-filter", "negative-counts"])
+def test_filter_records_refuse(call, error, start):
+    with pytest.raises(Exception) as err:
+        call()
+    assert err.type is error
+    assert str(err.value).startswith(start)

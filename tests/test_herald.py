@@ -217,3 +217,14 @@ def test_double_herald_ratio():
     # at P_S = P_L the double-to-single quotient equals P_L/(1 - P_L)
     out = outcome_probabilities(1e-3, 1e-3)
     assert out.p2 / out.p1 == pytest.approx(1e-3 / (1 - 1e-3), rel=1e-12)
+
+
+@pytest.mark.parametrize("rates", [{"spdc_rate_hz": -1.0},
+                                   {"lum_rate_hz": -1.0},
+                                   {"lum_rate_signal_hz": -1.0}],
+                         ids=["spdc", "lum", "lum-signal"])
+def test_herald_params_refuse_negative_rates(rates):
+    with pytest.raises(Exception) as err:
+        HeraldParams(**rates)
+    assert err.type is ValueError
+    assert str(err.value).startswith("rate must be nonnegative")

@@ -383,3 +383,43 @@ def test_kernels_are_the_written_formulas_bit_for_bit(sigma):
                     taus * (d_phi - d_kern_sigma))
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda: kernels.edges_from_centers([1.0]),
+     "grid centers must be strictly increasing, length >= 2"),
+    (lambda: kernels.edges_from_centers([2.0, 1.0]),
+     "grid centers must be strictly increasing, length >= 2"),
+    # 2 tau^2 and sigma^2 overflow from 2**511 on (a Python float's power
+    # raises OverflowError there)
+    (lambda: kernels.exp_conv_gauss_cdf(1.0, 2.0**511, 0.1),
+     "lifetime must be positive and finite, below 2**511 ns"),
+    (lambda: kernels.exp_conv_gauss_cdf_grad(1.0, 1.0, 2.0**511),
+     "sigma must be nonnegative and finite, below 2**511 ns"),
+    (lambda: kernels.periodic_decay_mass([0.0, 1.0], 1e160, 0.1, 1e6),
+     "lifetime must be positive and finite, below 2**511 ns"),
+    # exp(-period / tau) rounds to 1: the geometric pile-up sum diverges
+    (lambda: kernels.periodic_decay_mass([0.0, 1.0], 1e30, 0.1, 1e6),
+     "lifetime 1e+30 ns is too long for pulse period 1e+06 ns"),
+    (lambda: kernels.check_scale("IRF FWHM", 1e-101, "ns"),
+     "IRF FWHM 1e-101 ns is below 1e-100 ns"),
+], ids=["one-center", "decreasing-centers", "huge-lifetime", "huge-sigma",
+        "huge-lifetime-pileup", "lifetime-beyond-period", "below-min-scale"])
+def test_kernel_refusals(call, start):
+    with pytest.raises(Exception) as err:
+        call()
+    assert err.type is ValueError
+    assert str(err.value).startswith(start)
+
+
+def test_kernels_take_the_scale_limits():
+    # the largest lifetime and sigma below 2**511 give finite masses
+    top = np.nextafter(2.0**511, 0.0)
+    for tau, sigma in ((top, 0.1), (1.0, top), (kernels.MIN_SCALE, 0.1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parts = kernels.exp_conv_gauss_cdf_grad(
+                np.linspace(-1.0, 1.0, 5), tau, sigma)
+        assert all(np.isfinite(p).all() for p in parts)
+    kernels.check_scale("lifetime", kernels.MIN_SCALE, "ns")
+    kernels.check_scale("IRF FWHM", 0.0, "ns")

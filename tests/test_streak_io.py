@@ -350,3 +350,29 @@ def test_parse_error_binary_file(tmp_path):
     for reader in (read_streak_csv, read_trace_csv):
         with pytest.raises(StreakParseError, match="not a UTF-8 text file"):
             reader(path)
+
+
+def _read(text):
+    def call(tmp_path):
+        path = tmp_path / "image.csv"
+        path.write_text(text)
+        return read_streak_csv(path)
+    return call
+
+
+@pytest.mark.parametrize("call, error, start", [
+    (lambda tmp_path: StreakImage(np.ones(3, int), [1.0, 2.0, 3.0], [0.0], 1),
+     ValueError, "counts must be a 2-d array"),
+    (lambda tmp_path: write_trace_csv(tmp_path / "t.csv", [0.0, 1.0],
+                                      [1.0, 2.0, 3.0]),
+     ValueError, "time and value arrays must be equal-length 1-d"),
+    (_read("# exposure = 5\n500,501\n"), StreakParseError,
+     "no image data found"),
+    (_read("# exposure = five\n500,501\n0.0,1,2\n1.0,2,2\n"),
+     StreakParseError, "bad exposure value 'five'"),
+], ids=["1-d-counts", "unequal-trace", "header-only", "bad-exposure"])
+def test_streak_refusals(tmp_path, call, error, start):
+    with pytest.raises(Exception) as err:
+        call(tmp_path)
+    assert err.type is error
+    assert str(err.value).startswith(start)

@@ -290,3 +290,10 @@ def test_expected_total_limit_before_allocation():
     assert 0.98 * MAX_TOTAL_COUNTS < below.sum() < MAX_TOTAL_COUNTS
     with pytest.raises(ValueError, match="lower synth.exposure"):
         expected_counts(model, None, small, exposure=int(1.01 * limit))
+
+
+def test_expected_counts_needs_a_time_grid():
+    with pytest.raises(Exception) as err:
+        expected_counts(make_model(), exposure=1)
+    assert err.type is ValueError
+    assert str(err.value).startswith("a time grid is required")
