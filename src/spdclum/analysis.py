@@ -33,20 +33,18 @@ def _width(span: slice) -> int:
     return span.stop - span.start
 
 
-def roi_integrate(image: StreakImage, roi: RegionOfInterest, *,
-                  clip: bool = False) -> int:
+def roi_integrate(image: StreakImage, roi: RegionOfInterest) -> int:
     """Sum the counts inside a region of interest.
 
-    Bounds are inclusive on bin centers and must lie within the image axes
-    unless clip=True.  A region selecting no bins is a domain error.
+    Bounds are inclusive on bin centers and must lie within the image axes;
+    a region reaching past them, or selecting no bins, is a domain error.
     """
     wl, t = image.wavelength_axis_nm, image.time_axis_ns
     (wlo, whi), (tlo, thi) = roi.wavelength_nm, roi.time_ns
-    if not clip:
-        if wlo < wl[0] or whi > wl[-1] or tlo < t[0] or thi > t[-1]:
-            raise ValueError(
-                f"ROI {roi.label!r} extends beyond the image axes "
-                f"(wavelength {wl[0]:g}..{wl[-1]:g} nm, time {t[0]:g}..{t[-1]:g} ns)")
+    if wlo < wl[0] or whi > wl[-1] or tlo < t[0] or thi > t[-1]:
+        raise ValueError(
+            f"ROI {roi.label!r} extends beyond the image axes "
+            f"(wavelength {wl[0]:g}..{wl[-1]:g} nm, time {t[0]:g}..{t[-1]:g} ns)")
     wspan, tspan = _span(wl, wlo, whi), _span(t, tlo, thi)
     if not _width(wspan) or not _width(tspan):
         raise ValueError(f"ROI {roi.label!r} selects no bins")

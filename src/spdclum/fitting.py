@@ -27,12 +27,13 @@ The model per time bin is the bin average of
 
     m(t) = baseline + sum_i a_i * K(t - t0; tau_i, sigma_irf)
 
-with K the causal exponential, convolved with the Gaussian IRF of FWHM fwhm
-when an IRF width is given.  Averaging over each bin through the closed-form
-antiderivative mirrors how counts are accumulated, so lifetimes recovered
-from finely or coarsely binned traces are free of binning bias.
+with K the causal exponential, convolved with the Gaussian IRF when an IRF
+width is given; that width is known, never fitted.  Averaging over each bin
+through the closed-form antiderivative mirrors how counts are accumulated,
+so lifetimes recovered from finely or coarsely binned traces are free of
+binning bias.
 
-The parameter vector is [baseline, t0, a_1..a_n, tau_1..tau_n, fwhm]; a fit
+The parameter vector is [baseline, t0, a_1..a_n, tau_1..tau_n]; a fit
 varies the entries its switches free and holds the rest fixed.  t0 is
 fitted only when an IRF is present (sub-bin IRF traces fix it), matching how
 nanosecond and microsecond windows are analyzed.
@@ -199,10 +200,7 @@ def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
             d_sq = np.maximum(d_sq, jtj.diagonal())
             d = np.where(d_sq > 0.0, np.sqrt(d_sq), 1.0)
             free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-            # with every variable free, the free parts are the whole arrays
-            every = free.all()
-            g_free, d_free, jtj_free = ((g, d, jtj) if every else
-                                        (g[free], d[free], jtj[free][:, free]))
+            g_free, d_free, jtj_free = g[free], d[free], jtj[free][:, free]
             if (np.abs(g_free) <= GTOL * d_free * math.sqrt(2.0 * cost)).all():
                 return LeastSquaresResult(x, cost, 1, nfev)
             # J^T J of the free variables in the scaled variables u = D s,
@@ -215,11 +213,8 @@ def least_squares(fun, x0, jac, bounds, max_nfev: int) -> LeastSquaresResult:
             u = np.linalg.solve(scaled + damping * eye, rhs)
         except np.linalg.LinAlgError:
             break
-        if every:
-            step = u / d_free
-        else:
-            step = np.zeros(x.size)
-            step[free] = u / d_free
+        step = np.zeros(x.size)
+        step[free] = u / d_free
         trial = (x + step).clip(lo, hi)
         step = trial - x
         if not np.isfinite(step).all():
@@ -260,7 +255,7 @@ class DecayDesign:
 
     def __init__(self, t, y, n_components: int, irf_fwhm_ns: float | None = None,
                  baseline_mode: str = "free", t0_ns: float = 0.0,
-                 fit_t0: bool | None = None, fit_irf: bool = False):
+                 fit_t0: bool | None = None):
         self.t = np.asarray(t, dtype=float)
         self.y = np.asarray(y, dtype=float)
         if self.t.ndim != 1 or self.t.shape != self.y.shape:
@@ -277,34 +272,29 @@ class DecayDesign:
             raise ValueError("pulse arrival t0 must be finite")
         if irf_fwhm_ns is not None and not 0.0 <= irf_fwhm_ns < math.inf:
             raise ValueError("IRF FWHM must be nonnegative and finite")
-        kernels.check_scale("IRF FWHM", irf_fwhm_ns or 0.0, "ns")
+        kernels.check_scale("IRF FWHM", irf_fwhm_ns or 0.0, "ns",
+                            kernels.FWHM_TO_SIGMA)
         if fit_t0 is None:
             fit_t0 = bool(irf_fwhm_ns)
         if fit_t0 and not irf_fwhm_ns:
             raise ValueError("t0 can only be fitted with a nonzero IRF width")
-        if fit_irf and not irf_fwhm_ns:
-            raise ValueError("fitting the IRF width needs a nonzero start value")
         self.n = n = n_components
-        self.irf_fwhm_ns = irf_fwhm_ns
+        self.irf_fwhm_ns = None if irf_fwhm_ns is None else float(irf_fwhm_ns)
+        self.sigma = (irf_fwhm_ns or 0.0) * kernels.FWHM_TO_SIGMA
         self.baseline_mode = baseline_mode
         self.fit_t0 = bool(fit_t0)
-        self.fit_irf = bool(fit_irf)
         self.t0_fixed = float(t0_ns)
         self.w = 1.0 / np.sqrt(np.maximum(self.y, 1.0))
         # the full parameter vector: the values of its fixed entries (t0's
-        # and fwhm's also start the fit) and the mask of its fitted ones
-        self._fixed = np.array([0.0, self.t0_fixed, *[0.0] * (2 * n),
-                                irf_fwhm_ns or 0.0])
+        # also starts the fit) and the mask of its fitted ones
+        self._fixed = np.array([0.0, self.t0_fixed, *[0.0] * (2 * n)])
         self._fitted = np.array([baseline_mode == "free", self.fit_t0,
-                                 *[True] * (2 * n), self.fit_irf])
+                                 *[True] * (2 * n)])
         self._amps, self._taus = slice(2, 2 + n), slice(2 + n, 2 + 2 * n)
         self.n_params = int(self._fitted.sum())
-        # theta's amplitudes start after its baseline and t0, if fitted
-        self._first_amp = int(self._fitted[0]) + int(self._fitted[1])
         # the kernel parts this layout uses, of exp_conv_gauss_cdf_grad's
-        # (F, dF/dt, dF/dtau, dF/dsigma): F and dF/dtau, then dF/dt when t0
-        # is fitted and dF/dsigma when the IRF width is
-        self._parts = [0, 2] + [1] * self.fit_t0 + [3] * self.fit_irf
+        # (F, dF/dt, dF/dtau): F and dF/dtau, then dF/dt when t0 is fitted
+        self._parts = [0, 2] + [1] * self.fit_t0
         if self.t.size < max(3 * self.n_params, 8):
             raise ShortTraceError(
                 f"trace too short: {self.t.size} bins for {self.n_params} "
@@ -319,10 +309,10 @@ class DecayDesign:
 
     # -- parameter vector bookkeeping ------------------------------------
     def _split(self, theta):
-        """(baseline, t0, amplitudes, lifetimes, fwhm) at theta."""
+        """(baseline, t0, amplitudes, lifetimes) at theta."""
         full = self._fixed.copy()
         full[self._fitted] = theta
-        return full[0], full[1], full[self._amps], full[self._taus], full[-1]
+        return full[0], full[1], full[self._amps], full[self._taus]
 
     def _avg(self, v):
         # bin average of a kernel antiderivative difference; matches how
@@ -330,23 +320,23 @@ class DecayDesign:
         # parameters carry no binning bias
         return (v[..., 1:] - v[..., :-1]) / self.widths
 
-    def _kernel(self, t0, taus, fwhm):
+    def _kernel(self, t0, taus):
         """Bin averages of the kernel parts the layout uses (see _parts) at
         the edges, a (n_parts, n_components, n_bins) array, kept for the
-        last exact (t0, taus, fwhm): residuals and jacobian at one point
-        share one exp_conv_gauss_cdf_grad call."""
-        key = t0.tobytes() + fwhm.tobytes() + taus.tobytes()
+        last exact (t0, taus): residuals and jacobian at one point share
+        one exp_conv_gauss_cdf_grad call."""
+        key = t0.tobytes() + taus.tobytes()
         if self._memo[0] != key:
-            parts = kernels.exp_conv_gauss_cdf_grad(
-                self.edges - t0, taus, fwhm * kernels.FWHM_TO_SIGMA)
+            parts = kernels.exp_conv_gauss_cdf_grad(self.edges - t0, taus,
+                                                    self.sigma)
             self._memo = key, self._avg(np.array([parts[i]
                                                   for i in self._parts]))
         return self._memo[1]
 
     def model(self, theta):
-        baseline, t0, amps, taus, fwhm = self._split(theta)
+        baseline, t0, amps, taus = self._split(theta)
         out = baseline
-        for a, f in zip(amps, self._kernel(t0, taus, fwhm)[0]):
+        for a, f in zip(amps, self._kernel(t0, taus)[0]):
             out = out + a * f
         return out
 
@@ -354,29 +344,24 @@ class DecayDesign:
         return (self.model(theta) - self.y) * self.w
 
     def jacobian(self, theta):
-        baseline, t0, amps, taus, fwhm = self._split(theta)
-        # bin-averaged F and its partials in tau, then t and sigma where
+        baseline, t0, amps, taus = self._split(theta)
+        # bin-averaged F and its partial in tau, then in t when t0 is
         # fitted, a row per component; d/dt0 of F(t - t0) is -dF/dt
-        f, d_tau, *d_t_sigma = self._kernel(t0, taus, fwhm)
+        f, d_tau, *d_t = self._kernel(t0, taus)
         # only the fitted columns, in the parameter vector's order, each
-        # written into its column of one (n_bins, n_params) array
+        # written into its column of one (n_bins, n_params) array; the
+        # amplitudes' and lifetimes' are always the last 2n
         jac = np.empty((self.t.size, self.n_params))
-        cols, k = jac.T, self._first_amp
+        cols, n = jac.T, self.n
         if self._fitted[0]:
             cols[0] = 1.0
-        if self._fitted[1]:
-            col = cols[k - 1]
+        if self.fit_t0:
+            col = cols[-2 * n - 1]
             col[...] = 0.0
-            for a, d in zip(amps, d_t_sigma[0]):
+            for a, d in zip(amps, d_t[0]):
                 col -= a * d
-        cols[k:k + self.n] = f
-        np.multiply(amps[:, None], d_tau, out=cols[k + self.n:k + 2 * self.n])
-        if self._fitted[-1]:
-            col = cols[-1]
-            col[...] = 0.0
-            for a, d in zip(amps, d_t_sigma[-1]):
-                col += a * d
-            col *= kernels.FWHM_TO_SIGMA
+        cols[-2 * n:-n] = f
+        np.multiply(amps[:, None], d_tau, out=cols[-n:])
         jac *= self.w[:, None]
         return jac
 
@@ -393,9 +378,9 @@ class DecayDesign:
         span = self.t[-1] - self.t[0]
         n = self.n
         lo = np.array([0.0, self.t0_fixed - 0.5 * span, *[0.0] * n,
-                       *[self.tau_lo] * n, self.dt / 100.0])
+                       *[self.tau_lo] * n])
         hi = np.array([np.inf, self.t0_fixed + 0.5 * span, *[np.inf] * n,
-                       *[self.tau_hi] * n, span])
+                       *[self.tau_hi] * n])
         return lo[self._fitted], hi[self._fitted]
 
     def start_lifetimes(self) -> list[tuple[float, ...]]:
@@ -430,8 +415,7 @@ class DecayDesign:
         support[:, :n] = np.searchsorted(taus, starts)
         a_mat = np.empty((taus.size + free, self.t.size))
         a_mat[:taus.size] = self._avg(kernels.exp_conv_gauss_cdf(
-            self.edges - self.t0_fixed, taus,
-            self._fixed[-1] * kernels.FWHM_TO_SIGMA))
+            self.edges - self.t0_fixed, taus, self.sigma))
         a_mat[taus.size:] = 1.0
         a_w, b_w = a_mat.T * self.w[:, None], self.y * self.w
         coef = nnls_supports(a_w, b_w, support)
@@ -468,8 +452,7 @@ def _geomspace(lo, hi, num):
 
 def fit_multiexp(time_ns, counts, n_components: int,
                  irf_fwhm_ns: float | None = None, baseline_mode: str = "free",
-                 *, t0_ns: float = 0.0, fit_t0: bool | None = None,
-                 fit_irf: bool = False) -> DecayFit:
+                 *, t0_ns: float = 0.0, fit_t0: bool | None = None) -> DecayFit:
     """Fit a multi-exponential decay to a time trace.
 
     Parameters
@@ -480,9 +463,9 @@ def fit_multiexp(time_ns, counts, n_components: int,
     n_components : int
         Number of exponentials, 1 to 3.
     irf_fwhm_ns : float or None
-        Known IRF width to convolve into the model; None or 0 fits bare
-        exponentials with t0 fixed (appropriate when the IRF is far below
-        the bin width).
+        Known IRF width to convolve into the model, held fixed; None or 0
+        fits bare exponentials with t0 fixed (appropriate when the IRF is
+        far below the bin width).
     baseline_mode : str
         "free" floats a constant background, "zero" pins it.
 
@@ -502,7 +485,7 @@ def fit_multiexp(time_ns, counts, n_components: int,
         irf_fwhm_ns (ShortTraceError is a ValueError too).
     """
     design = DecayDesign(time_ns, counts, n_components, irf_fwhm_ns,
-                         baseline_mode, t0_ns, fit_t0, fit_irf)
+                         baseline_mode, t0_ns, fit_t0)
     lo, hi = design.bounds()
     # counts near the float limit overflow the objective; that ends the
     # solve unconverged (status 0) and leaves the uncertainties non-finite,
@@ -521,7 +504,7 @@ def fit_multiexp(time_ns, counts, n_components: int,
 
 def _package_fit(design: DecayDesign, res, n_starts: int,
                  converged_ok: bool) -> DecayFit:
-    baseline, t0, amps, taus, fwhm = design._split(res.x)
+    baseline, t0, amps, taus = design._split(res.x)
     order = np.argsort(taus)
     flags: list[str] = []
     if not converged_ok:
@@ -582,7 +565,7 @@ def _package_fit(design: DecayDesign, res, n_starts: int,
         baseline_rel_sigma=baseline_rel,
         t0_ns=float(t0),
         t0_sigma_ns=float(full_sig[1]),
-        irf_fwhm_ns=None if design.irf_fwhm_ns is None else float(fwhm),
+        irf_fwhm_ns=design.irf_fwhm_ns,
         reduced_chi_square=float(chi2_red),
         converged=converged_ok,
         flags=tuple(flags),

@@ -10,9 +10,9 @@ exactly instead of through discrete convolution grids.  The convolution is
 
 which is evaluated through erfcx to stay finite for every argument size.
 The module exposes only what the model integrates: the Gaussian's and the
-convolution's masses (the latter with its gradient, whose dF/dt is the
-kernel itself) and the steady-state masses under pulsed excitation, each a
-CDF difference on one edge array.  The Gaussian CDF also gives the
+convolution's masses (the latter with its gradient in t and tau, whose dF/dt
+is the kernel itself) and the steady-state masses under pulsed excitation,
+each a CDF difference on one edge array.  The Gaussian CDF also gives the
 wavelength masses, through emission.SpectralProfile.cdf.
 erfcx and the Gaussian CDF come from Cody's rational approximations in NumPy.
 
@@ -39,8 +39,9 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 # the narrowest nonzero width and shortest lifetime, in ns or nm, that a
 # model or a fit takes: the kernels divide t by tau and by sigma^2 and square
-# t / sigma, all finite from this scale up for |t| below 1e53
+# t / sigma, all finite from this scale up for |t| below MAX_TIME_NS
 MIN_SCALE = 1e-100
+MAX_TIME_NS = 1e53
 # lifetimes and sigma stay below this, so that 2 tau^2 and sigma^2 are finite
 _MAX_SCALE = 2.0 ** 511
 
@@ -109,11 +110,8 @@ def erfcx(x):
 
 def _prepare(t):
     """Return (flat float array, restore) where restore() rebuilds the
-    caller's shape on the last axis, collapsing a 0-d result to a float.
-    A 1-d array is already flat, so its restore returns the result as is."""
+    caller's shape on the last axis, collapsing a 0-d result to a float."""
     arr = np.asarray(t, dtype=float)
-    if arr.ndim == 1:
-        return arr.ravel(), _unchanged
     shape = arr.shape
 
     def restore(out):
@@ -121,10 +119,6 @@ def _prepare(t):
         return float(out) if out.ndim == 0 else out
 
     return arr.ravel(), restore
-
-
-def _unchanged(out):
-    return out
 
 
 def _bare(t, tau):
@@ -159,11 +153,20 @@ def _check_kernel_args(tau, sigma):
             "sigma must be nonnegative and finite, below 2**511 ns")
 
 
-def check_scale(name: str, value: float, unit: str) -> None:
-    """Refuse a width or lifetime above 0 and below MIN_SCALE."""
+def check_scale(name: str, value: float, unit: str,
+                kernel_factor: float | None = None) -> None:
+    """Refuse a width or lifetime above 0 and below MIN_SCALE.  Given the
+    factor that turns it into a convolution kernel argument (1 for a
+    lifetime, FWHM_TO_SIGMA for an IRF FWHM), also refuse one whose argument
+    is not below 2**511 ns (or is NaN), as the kernels would, but naming
+    the value."""
     if 0.0 < value < MIN_SCALE:
         raise ValueError(f"{name} {value:g} {unit} is below {MIN_SCALE:g} "
                          f"{unit}, where the closed forms overflow")
+    if kernel_factor is not None and not value * kernel_factor < _MAX_SCALE:
+        raise ValueError(f"{name} {value:g} {unit} is not below "
+                         f"{_MAX_SCALE / kernel_factor:.6g} {unit}, where "
+                         "its square in the decay kernels overflows")
 
 
 def _phi(w, bump, ex):
@@ -235,12 +238,11 @@ def exp_conv_gauss_cdf(t, tau, sigma: float):
 
 
 def exp_conv_gauss_cdf_grad(t, tau, sigma: float):
-    """F = exp_conv_gauss_cdf and its partial derivatives, from one kernel
-    evaluation.
+    """F = exp_conv_gauss_cdf and its partial derivatives in t and tau, from
+    one kernel evaluation.
 
-    Returns (F, dF/dt, dF/dtau, dF/dsigma); dF/dt is the kernel itself.  F
-    depends on sigma only through sigma^2, so dF/dsigma is zero at sigma = 0.
-    A 1-d array of lifetimes gives one row per lifetime in each part.  Each
+    Returns (F, dF/dt, dF/dtau); dF/dt is the kernel itself.  A 1-d array
+    of lifetimes gives one row per lifetime in each part.  Each
     shared subexpression is computed once, in the operation order of the
     formulas written out below, so every part is bit for bit the same.
     """
@@ -248,21 +250,15 @@ def exp_conv_gauss_cdf_grad(t, tau, sigma: float):
     _check_kernel_args(tau, sigma)
     t, restore = _prepare(t)
     if sigma == 0.0:
-        f, kern, d_tau = _bare(t, tau)
-        parts = (f, kern, d_tau, np.zeros_like(kern))
+        parts = _bare(t, tau)
     else:
         phi, kern, bump = _emg(t, tau, sigma)
         # dkern/dtau = kern * (t - sigma^2/tau) / tau^2 + g * sigma / tau^2
-        # dkern/dsigma = kern * sigma / tau^2 - g * (1/tau + t / sigma^2)
         # with g = bump / sqrt(2 pi); F = tau * (phi - kern), so
-        # dF/dtau = phi - kern - tau * dkern/dtau and
-        # dF/dsigma = tau * (dphi/dsigma - dkern/dsigma)
+        # dF/dtau = phi - kern - tau * dkern/dtau
         g, tau_sq, f = bump / _SQRT2PI, tau**2, phi - kern
         d_kern_tau = kern * (t - sigma**2 / tau) / tau_sq + g * sigma / tau_sq
-        d_kern_sigma = kern * sigma / tau_sq - g * (1.0 / tau + t / sigma**2)
-        d_phi = -g * t / sigma**2
-        parts = (tau * f, kern, f - tau * d_kern_tau,
-                 tau * (d_phi - d_kern_sigma))
+        parts = (tau * f, kern, f - tau * d_kern_tau)
     return tuple(map(restore, parts))
 
 

@@ -46,19 +46,16 @@ def test_roi_additivity_is_exact():
 def test_roi_integrate_empty_region():
     _, img = _image()
     nothing = RegionOfInterest((699.2, 699.8), (0.01, 0.02))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="selects no bins"):
         roi_integrate(img, nothing)
-    with pytest.raises(ValueError):
-        roi_integrate(img, nothing, clip=True)
 
 
 def test_roi_clip_overhang():
     _, img = _image()
+    # a region past the axes is refused, never clipped to them
     over = RegionOfInterest((690.0, 900.0), (-2.0, 8.0))
-    inside = RegionOfInterest((690.0, 700.0), (-2.0, 8.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="extends beyond the image axes"):
         roi_integrate(img, over)
-    assert roi_integrate(img, over, clip=True) == roi_integrate(img, inside)
 
 
 def test_default_rois_cover_line_and_decay():

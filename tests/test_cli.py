@@ -934,11 +934,9 @@ _ONE_LIFETIME = ["--set", "lum_decay.amplitudes=1", "--set"]
 
 @pytest.mark.parametrize("argv, message", [
     (["synth", "--out", "d", *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e160"],
-     "lifetime must be positive and finite, below 2**511 ns"),
-    (["scenario", "--set", "filter.1.kind=temporal_gate", "--set",
-      "filter.1.window_ns=10", "--set", "scenario.1.use_chain=true",
-      *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e200"],
-     "lifetime must be positive and finite, below 2**511 ns"),
+     "emission model: lifetime 1e+160 ns is not below 6.7039e+153 ns"),
+    ([*_GATED, *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e200"],
+     "emission model: lifetime 1e+200 ns is not below 6.7039e+153 ns"),
     (["synth", "--out", "d", *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e30"],
      "lifetime 1e+30 ns is too long for pulse period 1e+06 ns"),
     (["synth", "--out", "d", "--set", "lum_spectrum.skew=1000"],
@@ -946,7 +944,7 @@ _ONE_LIFETIME = ["--set", "lum_decay.amplitudes=1", "--set"]
     (["synth", "--out", "d", "--set", "lum_decay.irf_fwhm_ns=1e-310"],
      "emission model: IRF FWHM 1e-310 ns is below 1e-100 ns"),
     (["synth", "--out", "d", "--set", "lum_decay.irf_fwhm_ns=1e200"],
-     "sigma must be nonnegative and finite, below 2**511 ns"),
+     "emission model: IRF FWHM 1e+200 ns is not below 1.57865e+154 ns"),
     (["synth", "--out", "d", "--set", "spdc_spectrum.fwhm_nm=1e-310"],
      "emission model: spectral FWHM 1e-310 nm is below 1e-100 nm"),
     (["synth", "--out", "d", *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e-320"],
@@ -955,9 +953,28 @@ _ONE_LIFETIME = ["--set", "lum_decay.amplitudes=1", "--set"]
      "IRF FWHM 1e-308 ns is below 1e-100 ns"),
     (["herald", "--ps", "1e-3", "--pl", "1e-4", "--tw", "0"],
      "herald: detection window must be positive"),
+    (["fit", "IMAGE", "--irf", "1e200"],
+     "IRF FWHM 1e+200 ns is not below 1.57865e+154 ns"),
+    # 1e9 / 1e-300 overflows to an infinite period; 1e-299 Hz gives 1e308 ns
+    (["synth", "--out", "d", "--set", "pump.repetition_rate_hz=1e-300"],
+     "emission model: repetition rate 1e-300 Hz gives a pulse period of inf "
+     "ns, not below 1e+53 ns"),
+    (["synth", "--out", "d", "--set", "pump.repetition_rate_hz=1e-299"],
+     "emission model: repetition rate 1e-299 Hz gives a pulse period of "
+     "1e+308 ns, not below 1e+53 ns"),
+    # the bin masses of a lifetime this long are rounding error: negative
+    # on the default time bins, zero in the gate
+    (["synth", "--out", "d", *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e20"],
+     "lifetime 1e+20 ns is too long for 0.05 ns time bins at pulse period "
+     "1e+06 ns"),
+    ([*_GATED, *_ONE_LIFETIME, "lum_decay.lifetimes_ns=1e20"],
+     "lifetime 1e+20 ns is too long for 10 ns time bins at pulse period "
+     "1e+06 ns"),
 ], ids=["huge-lifetime", "huge-lifetime-gate", "lifetime-beyond-period",
         "huge-skew", "subnormal-irf", "huge-irf", "subnormal-spdc-fwhm",
-        "subnormal-lifetime", "subnormal-fit-irf", "probability-zero-window"])
+        "subnormal-lifetime", "subnormal-fit-irf", "probability-zero-window",
+        "huge-fit-irf", "period-overflow", "period-beyond-time-range",
+        "lifetime-beyond-bins", "lifetime-beyond-gate"])
 def test_extreme_values_exit_2_without_warnings(tmp_path, seed3_image, argv,
                                                 message):
     # a fresh interpreter that turns every warning into an error: the value

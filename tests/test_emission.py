@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from spdclum import emission
+from spdclum import emission, kernels
 from spdclum.emission import (DecayModel, EmissionModel, PumpConfig,
                               SpectralProfile, WavelengthGrid, band_mass,
                               luminescence_decay_intensity, make_model,
@@ -344,9 +344,27 @@ def test_symmetric_shape_is_half_at_half_width():
      "lifetime 1e-101 ns is below 1e-100 ns"),
     (lambda: DecayModel(irf_fwhm_ns=1e-310),
      "IRF FWHM 1e-310 ns is below 1e-100 ns"),
+    # the kernels' own ceilings and time range, refused with the value
+    (lambda: DecayModel((1.0,), (1e160,)),
+     "lifetime 1e+160 ns is not below 6.7039e+153 ns"),
+    (lambda: DecayModel((0.5, 0.5), (1.0, np.nan)),
+     "lifetime nan ns is not below"),
+    (lambda: DecayModel(irf_fwhm_ns=1e200),
+     "IRF FWHM 1e+200 ns is not below 1.57865e+154 ns"),
+    (lambda: DecayModel(irf_fwhm_ns=np.inf), "IRF FWHM inf ns is not below"),
+    (lambda: PumpConfig(repetition_rate_hz=1e-300),
+     "repetition rate 1e-300 Hz gives a pulse period of inf ns, not below "
+     "1e+53 ns"),
+    (lambda: PumpConfig(repetition_rate_hz=np.nan),
+     "repetition rate nan Hz gives a pulse period of nan ns"),
+    (lambda: emission.decay_bin_masses(DecayModel((1.0,), (1e20,), 0.0),
+                                       (-5.0, 5.0), 0.0, 1e6),
+     "lifetime 1e+20 ns is too long for 10 ns time bins at pulse period "
+     "1e+06 ns"),
 ], ids=["negative-amplitude", "negative-lifetime", "negative-rate",
         "no-mass-on-grid", "subnormal-fwhm", "huge-skew", "tiny-lifetime",
-        "subnormal-irf"])
+        "subnormal-irf", "huge-lifetime", "nan-lifetime", "huge-irf",
+        "inf-irf", "period-overflow", "nan-rate", "lifetime-beyond-bins"])
 def test_model_records_refuse(call, start):
     with pytest.raises(Exception) as err:
         call()
@@ -358,3 +376,47 @@ def test_scale_floor_and_skew_cap_are_inclusive():
     assert DecayModel((1.0,), (1e-100,), 1e-100).lifetimes_ns == (1e-100,)
     assert DecayModel(irf_fwhm_ns=0.0).irf_fwhm_ns == 0.0
     assert SpectralProfile(430.0, 1e-100, 230.0).skew == 230.0
+
+
+def test_kernel_range_bounds_are_exact():
+    # the largest lifetime, IRF FWHM and pulse period the kernels take are
+    # accepted, and the next float past each is refused
+    top = np.nextafter(2.0**511, 0.0)
+    assert DecayModel((1.0,), (top,)).lifetimes_ns == (top,)
+    with pytest.raises(ValueError, match="not below"):
+        DecayModel((1.0,), (2.0**511,))
+    fwhm = 2.0**511 / kernels.FWHM_TO_SIGMA
+    while not fwhm * kernels.FWHM_TO_SIGMA < 2.0**511:
+        fwhm = np.nextafter(fwhm, 0.0)
+    assert DecayModel(irf_fwhm_ns=fwhm).irf_fwhm_ns == fwhm
+    with pytest.raises(ValueError, match="IRF FWHM .* is not below"):
+        DecayModel(irf_fwhm_ns=np.nextafter(fwhm, np.inf))
+    rate = 1e9 / kernels.MAX_TIME_NS
+    while not 1e9 / rate < kernels.MAX_TIME_NS:
+        rate = np.nextafter(rate, np.inf)
+    assert PumpConfig(repetition_rate_hz=rate).period_ns < 1e53
+    with pytest.raises(ValueError, match="not below 1e\\+53 ns"):
+        PumpConfig(repetition_rate_hz=np.nextafter(rate, 0.0))
+
+
+@pytest.mark.parametrize("width", [0.005, 0.05, 10.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.0637], ids=["bare", "irf"])
+def test_decay_masses_are_positive_up_to_the_rounding_bound(width, sigma):
+    # a lifetime's bin masses carry a rounding error of order
+    # eps * tau / width relative; up to that bound they stay positive, and
+    # from it on they are refused (past it they come out zero or negative)
+    eps = np.finfo(float).eps
+    edges = width * (np.arange(-50, 51) - 0.5)
+    flat = width / 1e6  # a bin's share of a 1e6 ns period, for tau >> 1e6
+    for ratio in (0.01, 0.3, 0.9):
+        decay = DecayModel((1.0,), (ratio * width / eps,), 0.0)
+        mass = emission.decay_bin_masses(decay, edges, sigma, 1e6)
+        assert mass.min() > 0.5 * flat, ratio
+    for ratio in (1.0, 5.0):
+        decay = DecayModel((1.0,), (ratio * width / eps,), 0.0)
+        with pytest.raises(ValueError, match="is too long for"):
+            emission.decay_bin_masses(decay, edges, sigma, 1e6)
+    # what the refusal keeps out: at 5 times the bound, unchecked masses
+    tau = 5.0 * width / eps
+    raw = kernels.periodic_decay_mass(edges, tau, sigma, 1e6) / tau
+    assert raw.min() <= 0.0

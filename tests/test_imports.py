@@ -7,6 +7,7 @@ SciPy through other tests, and compare them with in-process runs.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -230,6 +231,53 @@ def test_every_public_name_is_reached():
             elif isinstance(node, ast.alias):
                 used.add(node.name.rpartition(".")[2])
     assert sorted(set(spdclum.__all__) - used) == []
+
+
+# defaulted parameters of public functions that no module, demo or bench
+# step passes, each with its reason
+_UNPASSED_PARAMETERS = {
+    # a test seam: the process environment unless a test substitutes one
+    "resolve_config(environ=)",
+    # writes the trace metadata that fit reads (pulse_arrival_ns); the
+    # property tests round-trip through it
+    "write_trace_csv(metadata=)",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a defaulted parameter of a public function that no caller sets is a
+    # switch that changes nothing for the package: pass it or drop it
+    sources = [p for p in sorted((ROOT / "src" / "spdclum").glob("*.py"))
+               if p.name != "__init__.py"]
+    sources += sorted((ROOT / "demos").glob("*.py"))
+    sources += sorted((ROOT / "bench").glob("*.py"))
+    passed = {}  # callee name: positions and keywords passed to it
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            got = passed.setdefault(name, set())
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                got.add("*")
+            got.update(range(len(node.args)))
+            got.update(kw.arg or "**" for kw in node.keywords)
+    unpassed = []
+    for name in spdclum.__all__:
+        fn = getattr(spdclum, name)
+        if not inspect.isfunction(fn):
+            continue
+        got = passed.get(name, set())
+        for i, p in enumerate(inspect.signature(fn).parameters.values()):
+            by_position = p.kind is not p.KEYWORD_ONLY and (
+                i in got or "*" in got)
+            if (p.default is p.empty or by_position
+                    or p.name in got or "**" in got):
+                continue
+            unpassed.append(f"{name}({p.name}=)")
+    assert sorted(set(unpassed) - _UNPASSED_PARAMETERS) == []
+    # an exception whose parameter has a caller, or is gone, is stale
+    assert sorted(_UNPASSED_PARAMETERS - set(unpassed)) == []
 
 
 def test_every_config_key_is_read():

@@ -198,29 +198,24 @@ def _central(fn, x, h):
 
 
 def test_kernel_derivatives_match_finite_differences():
-    # dF/dtau and dF/dsigma of exp_conv_gauss_cdf_grad against central
-    # differences of exp_conv_gauss_cdf
+    # dF/dtau of exp_conv_gauss_cdf_grad against central differences of
+    # exp_conv_gauss_cdf
     rng = np.random.default_rng(20240817)
     cdf = kernels.exp_conv_gauss_cdf
     for _ in range(10):
         tau = float(rng.uniform(0.2, 5.0))
         sigma = float(rng.uniform(0.02, 0.5))
         t = float(rng.uniform(-0.5, 3.0))
-        _, _, d_tau, d_sigma = kernels.exp_conv_gauss_cdf_grad(t, tau, sigma)
+        _, _, d_tau = kernels.exp_conv_gauss_cdf_grad(t, tau, sigma)
         h_tau = 1e-5 * tau
         num = _central(lambda x: cdf(t, x, sigma), tau, h_tau)
         assert d_tau == pytest.approx(num, rel=1e-4, abs=1e-9)
 
-        h_s = 1e-5 * sigma
-        num = _central(lambda x: cdf(t, tau, x), sigma, h_s)
-        assert d_sigma == pytest.approx(num, rel=1e-4, abs=1e-8)
-
-    # the bare exponential: dF/dtau by differences, dF/dsigma exactly zero
+    # the bare exponential: dF/dtau by differences
     for t in (-0.5, 0.3, 2.0):
-        _, _, d_tau, d_sigma = kernels.exp_conv_gauss_cdf_grad(t, TAU, 0.0)
+        _, _, d_tau = kernels.exp_conv_gauss_cdf_grad(t, TAU, 0.0)
         num = _central(lambda x: cdf(t, x, 0.0), TAU, 1e-5 * TAU)
         assert d_tau == pytest.approx(num, rel=1e-4, abs=1e-9)
-        assert d_sigma == 0.0
 
 
 def test_cdf_is_antiderivative():
@@ -368,19 +363,15 @@ def test_kernels_are_the_written_formulas_bit_for_bit(sigma):
             kern = np.where(ts >= 0.0, np.exp(-np.maximum(ts, 0.0) / taus),
                             0.0)
             want = (np.where(ts > 0.0, taus * (1.0 - kern), 0.0), kern,
-                    np.where(ts > 0.0, 1.0 - kern - (ts / taus) * kern, 0.0),
-                    np.zeros_like(kern))
+                    np.where(ts > 0.0, 1.0 - kern - (ts / taus) * kern, 0.0))
         else:
             phi, kern, bump = kernels._emg(ts, taus, sigma)
             root = kernels._SQRT2PI
             d_kern_tau = (kern * (ts - sigma**2 / taus) / taus**2
                           + bump / root * sigma / taus**2)
-            d_kern_sigma = (kern * sigma / taus**2
-                            - bump / root * (1.0 / taus + ts / sigma**2))
-            d_phi = -bump / root * ts / sigma**2
             want = (taus * (phi - kern), kern,
-                    phi - kern - taus * d_kern_tau,
-                    taus * (d_phi - d_kern_sigma))
+                    phi - kern - taus * d_kern_tau)
+        assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -423,3 +414,23 @@ def test_kernels_take_the_scale_limits():
         assert all(np.isfinite(p).all() for p in parts)
     kernels.check_scale("lifetime", kernels.MIN_SCALE, "ns")
     kernels.check_scale("IRF FWHM", 0.0, "ns")
+
+
+@pytest.mark.parametrize("factor", [1.0, kernels.FWHM_TO_SIGMA],
+                         ids=["lifetime", "irf-fwhm"])
+def test_check_scale_refuses_what_the_kernels_refuse(factor):
+    # given its kernel factor, check_scale refuses a value exactly when the
+    # kernels would refuse value * factor, and names the value
+    top = 2.0**511 / factor
+    while not top * factor < 2.0**511:
+        top = np.nextafter(top, 0.0)
+    kernels.check_scale("x", top, "ns", factor)
+    kernels.exp_conv_gauss_cdf(1.0, top * factor, top * factor)
+    for bad in (np.nextafter(top, np.inf), np.inf, np.nan):
+        with pytest.raises(ValueError) as err:
+            kernels.check_scale("x", bad, "ns", factor)
+        assert str(err.value).startswith(f"x {bad:g} ns is not below ")
+        with pytest.raises(ValueError, match="below 2\\*\\*511 ns"):
+            kernels.exp_conv_gauss_cdf(1.0, 1.0, bad * factor)
+    # without a factor only the floor applies, as for spectral widths
+    kernels.check_scale("spectral FWHM", 1e300, "nm")

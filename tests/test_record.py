@@ -190,6 +190,28 @@ def test_frozen(pair):
             assert getattr(a, name) is value
 
 
+def test_subclass_sets_and_deletes_other_attributes(pair):
+    # a plain subclass may set and delete an attribute that is not a field,
+    # as a subclass of a frozen dataclass may; its fields stay frozen
+    cls, twin, (a, _), _ = pair
+    args, kwargs = _args(a)
+    first = dataclasses.fields(a)[0].name
+    outcomes = []
+    for base in (cls, twin):
+        obj = type(f"Sub{base.__name__}", (base,), {})(*args, **kwargs)
+        outcomes.append([_outcome(step) for step in (
+            lambda: setattr(obj, "not_a_field", 1),
+            lambda: obj.not_a_field,
+            lambda: delattr(obj, "not_a_field"),
+            lambda: hasattr(obj, "not_a_field"),
+            lambda: setattr(obj, first, getattr(obj, first)),
+            lambda: delattr(obj, first))])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:4] == ["None", "1", "None", "False"]
+    assert outcomes[0][4][0] is outcomes[0][5][0] is (
+        dataclasses.FrozenInstanceError)
+
+
 def test_dataclass_metadata(pair):
     cls, twin, _, _ = pair
     assert str(inspect.signature(cls)) == str(inspect.signature(twin))

@@ -170,6 +170,25 @@ def test_trace_roundtrip(tmp_path):
     assert meta["kind"] == "test"
 
 
+def test_blank_lines_are_skipped(tmp_path):
+    # a blank or whitespace-only line anywhere reads as if it were absent
+    img, path = _image(), tmp_path / "img.csv"
+    write_streak_csv(img, path)
+    lines = path.read_text().splitlines(keepends=True)
+    spaced = "".join(f"{line}\n  \t\n" for line in lines)
+    path.write_text("\n" + spaced)
+    back = read_streak_csv(path)
+    assert np.array_equal(back.counts, img.counts)
+    assert back.metadata == img.metadata
+    t, v = np.linspace(0.0, 5.0, 11), np.arange(11.0)
+    write_trace_csv(tmp_path / "trace.csv", t, v, {"kind": "test"})
+    text = (tmp_path / "trace.csv").read_text()
+    (tmp_path / "trace.csv").write_text(text.replace("\n", "\n\n"))
+    t2, v2, meta = read_trace_csv(tmp_path / "trace.csv")
+    assert np.array_equal(t, t2) and np.array_equal(v, v2)
+    assert meta == {"kind": "test"}
+
+
 @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", ","])
 def test_trace_writer_refuses_unreadable_column_name(tmp_path, name):
     # the header row would split into more fields or lines than the reader
